@@ -8,25 +8,24 @@
 //! A population of analyst *profiles* (sampling seed + drill script) is
 //! sampled with a Zipf law — the realistic serve-path shape where a few
 //! dashboards/questions dominate traffic — and the resulting session
-//! sequence is driven over a real TCP server four times: cache disabled
-//! (`cache_bytes = 0`), cache at the default budget, and two
-//! eviction-policy legs (stripe-epoch vs LRU) with the budget squeezed
-//! to half the resident working set measured on the default leg, so
-//! every insert past the squeeze forces a real eviction decision. All
-//! legs record per-request latency; cached legs additionally report
-//! hit/miss/insert/eviction counters.
+//! sequence is driven over a real TCP server three times: cache disabled
+//! (`cache_bytes = 0`), cache at the default budget, and an eviction leg
+//! with the budget squeezed to half the resident working set measured on
+//! the default leg, so every insert past the squeeze forces a real (LRU)
+//! eviction decision. All legs record per-request latency; cached legs
+//! additionally report hit/miss/insert/eviction counters.
 //!
 //! **Bit-parity is asserted at runtime, per session**: the transcript of
 //! every session on every cached leg must equal its uncached twin byte
-//! for byte, or the bench aborts — cache and eviction policy may change
-//! when work happens, never what is answered.
+//! for byte, or the bench aborts — cache and eviction may change when
+//! work happens, never what is answered.
 //!
 //! Environment knobs: `SDD_CACHE_SESSIONS` (default 32),
 //! `SDD_CACHE_PROFILES` (default 8), `SDD_CACHE_CLIENTS` (concurrent
 //! client threads, default 4). `SDD_NO_CACHE=1` turns every cached leg
 //! into an uncached run (recorded in the provenance field).
 
-use sdd_server::{Client, EngineConfig, EvictionMode, OpenOptions, Request, Server, ServerConfig};
+use sdd_server::{Client, EngineConfig, OpenOptions, Request, Server, ServerConfig};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -212,7 +211,7 @@ fn run_leg(
     }
 }
 
-fn leg_json(name: &str, leg: &LegResult, cache_bytes: usize, eviction: &str) -> String {
+fn leg_json(name: &str, leg: &LegResult, cache_bytes: usize) -> String {
     let n = leg.latencies.len();
     let mean = leg.latencies.iter().sum::<f64>() / n as f64;
     let (p50, p95) = (
@@ -237,7 +236,7 @@ fn leg_json(name: &str, leg: &LegResult, cache_bytes: usize, eviction: &str) -> 
     };
     format!(
         "    {{ \"leg\": \"{name}\", \"cache_bytes\": {cache_bytes}, \
-         \"eviction\": \"{eviction}\", \"requests\": {n}, \"mean_us\": {:.1}, \
+         \"requests\": {n}, \"mean_us\": {:.1}, \
          \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"throughput_rps\": {:.1}, \
          \"cache\": {cache} }}",
         mean * 1e6,
@@ -266,40 +265,32 @@ fn main() {
         table.n_columns()
     );
 
-    let cfg = |cache_bytes: usize, eviction: EvictionMode| EngineConfig {
+    let cfg = |cache_bytes: usize| EngineConfig {
         cache_bytes,
-        cache_eviction: eviction,
         ..EngineConfig::default()
     };
-    let off = run_leg(&table, &mix, clients, cfg(0, EvictionMode::default()));
-    let on = run_leg(
+    let off = run_leg(&table, &mix, clients, cfg(0));
+    let on = run_leg(&table, &mix, clients, cfg(64 << 20));
+
+    // Eviction leg: squeeze the budget to half the resident working set of
+    // the default leg, so every insert past the squeeze forces a real
+    // eviction decision. One stripe so the whole budget is a single LRU
+    // pool (striping affects contention, never results).
+    let resident = on.counters.map(|c| c.bytes).unwrap_or(2 << 20);
+    let tight = ((resident / 2).max(1)) as usize;
+    let lru = run_leg(
         &table,
         &mix,
         clients,
-        cfg(64 << 20, EvictionMode::default()),
+        EngineConfig {
+            stripes: 1,
+            ..cfg(tight)
+        },
     );
 
-    // Eviction-policy legs: squeeze the budget to half the resident
-    // working set of the default leg, so every insert past the squeeze
-    // forces a real eviction decision — that is where the policies
-    // diverge. One stripe so the whole budget is a single LRU/epoch pool
-    // (striping affects contention, never results).
-    let resident = on.counters.map(|c| c.bytes).unwrap_or(2 << 20);
-    let tight = ((resident / 2).max(1)) as usize;
-    let tight_cfg = |eviction: EvictionMode| EngineConfig {
-        stripes: 1,
-        ..cfg(tight, eviction)
-    };
-    let epoch = run_leg(&table, &mix, clients, tight_cfg(EvictionMode::StripeEpoch));
-    let lru = run_leg(&table, &mix, clients, tight_cfg(EvictionMode::Lru));
-
-    // Runtime bit-parity, per session: neither the cache nor the eviction
-    // policy may move a byte.
-    for (name, leg) in [
-        ("cache-on", &on),
-        ("evict-epoch", &epoch),
-        ("evict-lru", &lru),
-    ] {
+    // Runtime bit-parity, per session: neither the cache nor eviction may
+    // move a byte.
+    for (name, leg) in [("cache-on", &on), ("evict-lru", &lru)] {
         assert_eq!(
             off.transcripts.keys().collect::<Vec<_>>(),
             leg.transcripts.keys().collect::<Vec<_>>(),
@@ -313,16 +304,11 @@ fn main() {
         }
     }
     println!(
-        "  bit-parity: all {} session transcripts identical across 4 legs",
+        "  bit-parity: all {} session transcripts identical across 3 legs",
         off.transcripts.len()
     );
 
-    for (name, leg) in [
-        ("cache-off", &off),
-        ("cache-on", &on),
-        ("evict-epoch", &epoch),
-        ("evict-lru", &lru),
-    ] {
+    for (name, leg) in [("cache-off", &off), ("cache-on", &on), ("evict-lru", &lru)] {
         let n = leg.latencies.len();
         let mean = leg.latencies.iter().sum::<f64>() / n as f64 * 1e6;
         match &leg.counters {
@@ -351,10 +337,9 @@ fn main() {
             "  \"host_parallelism\": {host},\n",
             "  \"simd\": \"{simd}\",\n",
             "  \"sdd_no_cache_env\": \"{no_cache}\",\n",
-            "  \"default_eviction\": \"{default_eviction:?}\",\n",
             "  \"parity\": \"per-session transcripts byte-identical across legs (asserted at runtime)\",\n",
             "  \"predict\": {{ \"records\": {records}, \"predictions\": {predictions}, \"speculations\": {speculations} }},\n",
-            "  \"legs\": [\n{off_leg},\n{on_leg},\n{epoch_leg},\n{lru_leg}\n  ]\n",
+            "  \"legs\": [\n{off_leg},\n{on_leg},\n{lru_leg}\n  ]\n",
             "}}\n"
         ),
         sessions = sessions,
@@ -364,14 +349,12 @@ fn main() {
         host = host_threads,
         simd = sdd_bench::simd_level(),
         no_cache = no_cache_env,
-        default_eviction = EvictionMode::default(),
         records = p.records,
         predictions = p.predictions,
         speculations = p.speculations,
-        off_leg = leg_json("cache-off", &off, 0, "none"),
-        on_leg = leg_json("cache-on", &on, 64 << 20, &format!("{:?}", EvictionMode::default())),
-        epoch_leg = leg_json("evict-epoch", &epoch, tight, "StripeEpoch"),
-        lru_leg = leg_json("evict-lru", &lru, tight, "Lru"),
+        off_leg = leg_json("cache-off", &off, 0),
+        on_leg = leg_json("cache-on", &on, 64 << 20),
+        lru_leg = leg_json("evict-lru", &lru, tight),
     );
     std::fs::write("BENCH_cache.json", &json).expect("write BENCH_cache.json");
     println!("wrote BENCH_cache.json");

@@ -111,15 +111,14 @@ struct Pass1Out {
 /// The pass-1 candidate boundary of one free column: the surviving size-1
 /// rules (code-ascending) plus the code → weight table.
 ///
-/// Shared by the task-per-column kernel, the row-sliced kernel, and the
-/// sharded kernel ([`crate::shard`]) — all three count first and then call
-/// this on the finished per-code histogram, so candidate sets are identical
-/// across execution modes by construction.
-pub(crate) struct Pass1Cands {
-    pub(crate) rules: Vec<Rule>,
-    pub(crate) wtab: Vec<f64>,
-    pub(crate) generated: usize,
-    pub(crate) pruned: usize,
+/// Shared by the task-per-column kernel and the row-sliced kernel — both
+/// count first and then call this on the finished per-code histogram, so
+/// candidate sets are identical across execution modes by construction.
+struct Pass1Cands {
+    rules: Vec<Rule>,
+    wtab: Vec<f64>,
+    generated: usize,
+    pruned: usize,
 }
 
 /// Materializes rules for the supported codes of column `col`, gates them
@@ -128,7 +127,7 @@ pub(crate) struct Pass1Cands {
 ///
 /// det-order: one sequential code-ascending scan; the `+=` accumulators
 /// are integer generation stats, and each weight slot is written once.
-pub(crate) fn pass1_candidates(
+fn pass1_candidates(
     table: &Table,
     base: &Rule,
     col: usize,
@@ -163,7 +162,7 @@ pub(crate) fn pass1_candidates(
 
 /// The frequent size-1 building blocks of a level-1 candidate list: one
 /// `(free column, code)` pair per rule, in level order.
-pub(crate) fn level_blocks(level: &[Rule], base: &Rule) -> Vec<(usize, u32)> {
+fn level_blocks(level: &[Rule], base: &Rule) -> Vec<(usize, u32)> {
     level
         .iter()
         .map(|r| {
@@ -182,13 +181,13 @@ pub(crate) fn level_blocks(level: &[Rule], base: &Rule) -> Vec<(usize, u32)> {
 /// support/bound/weight prunes. Returns the next level's candidates with
 /// their weights (empty → the search is done).
 ///
-/// Pure candidate bookkeeping — no row access — so the columnar, row-sliced,
-/// and sharded kernels share it verbatim.
+/// Pure candidate bookkeeping — no row access — so the columnar and
+/// row-sliced kernels share it verbatim.
 ///
 /// det-order: single-threaded sweep in level order; the `+=` accumulators
 /// are integer search stats, never float partials.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn generate_level(
+fn generate_level(
     table: &Table,
     base: &Rule,
     blocks: &[(usize, u32)],
@@ -255,18 +254,17 @@ pub(crate) fn generate_level(
 }
 
 /// One level-j candidate group: all candidates instantiating the same set of
-/// free columns. Shared with the sharded kernel in [`crate::shard`], which
-/// reuses the same group layout over per-shard column slices.
+/// free columns.
 #[derive(Debug, Default)]
-pub(crate) struct Group {
+struct Group {
     /// Absolute column indices, ascending.
-    pub(crate) cols: Vec<usize>,
+    cols: Vec<usize>,
     /// Mixed-radix strides per column (dense mode).
-    pub(crate) strides: Vec<usize>,
+    strides: Vec<usize>,
     /// Total dense cells (`Π` cardinalities); `0` when overflowed.
-    pub(crate) cells: usize,
+    cells: usize,
     /// Candidate (dense cell, candidate index) pairs (dense mode).
-    pub(crate) cand_cells: Vec<(usize, u32)>,
+    cand_cells: Vec<(usize, u32)>,
     /// Per-column left-shifts when packing fits in 64 bits (sparse mode).
     shifts: Vec<u32>,
     /// True when sparse keys fit a single `u64`.
@@ -277,13 +275,13 @@ pub(crate) struct Group {
     /// (sparse wide mode).
     wide_keys: Vec<u32>,
     /// Candidate index per sorted key (sparse modes).
-    pub(crate) order: Vec<u32>,
+    order: Vec<u32>,
 }
 
 impl Group {
     /// True when this group counts via the dense histogram.
     #[inline]
-    pub(crate) fn is_dense(&self) -> bool {
+    fn is_dense(&self) -> bool {
         self.cells != 0
     }
 
@@ -292,7 +290,7 @@ impl Group {
     /// only); map through `order` for the candidate index. `wide_scratch`
     /// is a reusable buffer for the wide path; untouched in packed mode.
     #[inline]
-    pub(crate) fn probe(
+    fn probe(
         &self,
         wide_scratch: &mut Vec<u32>,
         mut fetch: impl FnMut(usize) -> u32,
@@ -331,8 +329,8 @@ impl Group {
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     hists: Vec<ColumnHist>,
-    pub(crate) cstats: Vec<CandStat>,
-    pub(crate) groups: Vec<Group>,
+    cstats: Vec<CandStat>,
+    groups: Vec<Group>,
     /// Maps a level's column-set signature to its group index.
     group_ix: FxHashMap<Vec<u16>, usize>,
 }
@@ -721,7 +719,7 @@ fn pass1_row_sliced(
 
 /// Groups a level's candidates by instantiated-column signature and builds
 /// each group's dense cell map or sorted probe keys.
-pub(crate) fn build_groups(
+fn build_groups(
     scratch: &mut SearchScratch,
     table: &Table,
     base: &Rule,
@@ -1020,10 +1018,7 @@ fn count_group_sparse(
 /// Selects the winner from the counted set: max marginal, ties broken toward
 /// higher weight then lexicographically smaller codes (identical to the
 /// reference implementation).
-pub(crate) fn pick_winner(
-    counted: &FxHashMap<Rule, CandStat>,
-    stats: SearchStats,
-) -> Option<BestMarginal> {
+fn pick_winner(counted: &FxHashMap<Rule, CandStat>, stats: SearchStats) -> Option<BestMarginal> {
     let mut best: Option<(&Rule, &CandStat)> = None;
     for (rule, stat) in counted {
         if stat.marginal <= 0.0 {

@@ -38,10 +38,10 @@
 //!   drill-down result caches (floats keyed by bits, normalized bases,
 //!   content-digested views),
 //! * [`drilldown`] — rule and star drill-down (Problem 1 → 2/3 reductions),
-//! * [`shard`] — bit-compatible twins of the hot paths over sharded
-//!   (`sdd_table::ShardedTable`) storage: per-shard counting passes,
-//!   coverage scans, scoring, and drill-downs for larger-than-memory
-//!   tables,
+//! * [`shard`] — the full-table coverage and count scans over sharded
+//!   (`sdd_table::ShardedTable`) storage, bit-compatible twins of
+//!   [`covered_rows`] and [`count_rules`] (BRS itself always runs on an
+//!   in-memory sample),
 //! * [`session`] — the interactive exploration tree with paper-style rendering,
 //! * [`exact`] — brute-force oracle for tests and ablations,
 //! * [`mw_estimate`] — sampling-based estimation of the `mw` parameter (§6.1),
@@ -89,12 +89,7 @@ pub use score::{
 };
 pub use session::{Node, Session, SessionError};
 pub use shard::{
-    count_rules_sharded, covered_positions_sharded, covered_rows_sharded, drill_down_sharded,
-    filter_to_rule_sharded, find_best_marginal_rule_sharded, rule_count_sharded,
-    score_list_sharded, sort_by_weight_desc_sharded, star_drill_down_sharded,
-    try_count_rules_sharded, try_covered_positions_sharded, try_covered_rows_sharded,
-    try_covered_rows_sharded_range, try_filter_to_rule_sharded,
-    try_find_best_marginal_rule_sharded, try_rule_count_sharded, try_score_list_sharded,
+    try_count_rules_sharded, try_covered_rows_sharded, try_covered_rows_sharded_range,
 };
 pub use weight::{
     check_monotone_on, BitsWeight, ColumnWeight, RequireColumn, SizeMinusOne, SizeWeight,

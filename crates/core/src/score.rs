@@ -131,11 +131,15 @@ pub fn rule_count(view: &TableView<'_>, rule: &Rule) -> f64 {
 }
 
 /// Exact `Count` of every rule over the full table — the monolithic twin
-/// of [`crate::shard::count_rules_sharded`] (the scan behind the
-/// explorer's exact-count refresh).
+/// of [`crate::shard::try_count_rules_sharded`] (the scan behind the
+/// explorer's exact-count refresh). Each count is the number of covered
+/// rows, so a rule covering nothing counts `+0.0`, as the refresh reports
+/// it (an empty float `sum` would give `-0.0`).
 pub fn count_rules(table: &Table, rules: &[Rule]) -> Vec<f64> {
-    let view = table.view();
-    rules.iter().map(|r| rule_count(&view, r)).collect()
+    rules
+        .iter()
+        .map(|r| crate::covered_rows(table, r).len() as f64)
+        .collect()
 }
 
 #[cfg(test)]
@@ -249,6 +253,9 @@ mod tests {
         let ax = rule(&table, &[("A", "a"), ("B", "x")]);
         assert_eq!(count_rules(&table, &[a, ax]), vec![7.0, 4.0]);
         assert_eq!(count_rules(&table, &[]), Vec::<f64>::new());
+        // A rule covering no row counts +0.0, not the empty sum's -0.0.
+        let none = rule(&table, &[("A", "c"), ("B", "x")]);
+        assert_eq!(count_rules(&table, &[none])[0].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

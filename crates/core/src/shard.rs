@@ -1,182 +1,98 @@
-//! Sharded compute: the drill-down hot paths over [`ShardedTable`] /
-//! [`ShardedView`] storage (see `sdd_table::shard` for the substrate).
+//! Sharded coverage and count scans over [`ShardedTable`] storage (see
+//! `sdd_table::shard` for the substrate).
 //!
-//! Every function here is a **bit-compatible twin** of its monolithic
-//! counterpart. The contract rests on two facts:
+//! BRS itself always runs on an in-memory sample (paper §4); the full-table
+//! scans that feed the sample store and the explorer's exact-count refresh
+//! are the only drill-down work that touches segmented storage. Each scan
+//! here is a **bit-compatible twin** of its monolithic counterpart:
 //!
-//! 1. the shard layout partitions the row range in order, so iterating
-//!    shards in index order visits rows (or view positions) in exactly the
-//!    monolithic order;
-//! 2. every float accumulator is updated **shard-after-shard into one
-//!    shared accumulator** — the same operation sequence the monolithic
-//!    scan performs — while parallelism comes from *disjoint* accumulators
-//!    (one per column or candidate group, threaded through the shard loop
-//!    by [`crate::exec::parallel_map`], which returns them in job order).
-//!    Integer quantities additionally fan out per (column × shard) with
-//!    private `u64` partials merged by the chunk-ordered
-//!    [`crate::exec::reduce_pairwise`] — associative, hence still exact.
+//! * [`try_covered_rows_sharded`] ⇔ [`crate::covered_rows`] (the sampling
+//!   layer's Create and prefetch scans), plus the ranged form
+//!   [`try_covered_rows_sharded_range`] that incremental sample maintenance
+//!   uses to offer one epoch's appended rows;
+//! * [`try_count_rules_sharded`] ⇔ [`crate::count_rules`] (the explorer's
+//!   `refresh`).
+//!
+//! The contract rests on one fact: the shard layout partitions the row
+//! range in order, so iterating shards in index order visits rows in
+//! exactly the monolithic order, and the outputs — ascending row ids and
+//! exact integer counts — carry no float operation order at all.
 //!
 //! ## Spill-tier predicate pushdown
 //!
-//! Scans here never force a shard's local→global decode. Each shard is
-//! consumed **in whichever form the residency cache holds**
-//! ([`sdd_table::SegmentData`]): decoded segments scan global codes;
-//! raw segments scan the packed 1/2/4-byte local codes straight out of the
-//! spill coding, after translating each rule predicate into the shard's
-//! local code space through its `remap` — a predicate value absent from
+//! Scans never force a shard's local→global decode. A shard the residency
+//! cache holds is scanned in place over its decoded global codes; a miss
+//! range-reads **only the rule's columns** ([`ShardedTable::read_columns`])
+//! and leaves residency undisturbed. Those transient columns stay in the
+//! spill coding: each rule predicate is translated into the shard's local
+//! code space through the column's `remap`, and the packed 1/2/4-byte
+//! local codes are scanned directly — a predicate value absent from
 //! `remap` covers zero rows, so the whole shard is skipped without touching
-//! a single row. Coverage scans that miss the cache range-read only the
-//! rule's columns ([`ShardedTable::read_columns`]) and leave residency
-//! undisturbed; the marginal-search passes load the raw form into the cache
-//! ([`ShardedTable::segment_data`]) so later passes rescan it for free.
-//! Bit-parity is preserved by construction:
-//!
-//! * **positions/counts** are integers — a local-code equality scan hits
-//!   exactly the rows the global-code scan hits;
-//! * **histograms** remap back to global slots. Unit-weight counts scatter
-//!   local `u64` histograms through `remap` (integer addition, exact).
-//!   Weighted `f64` histograms use *swap-in/swap-out*: at shard entry each
-//!   local slot borrows its global slot's running value
-//!   (`lacc[l] = acc[remap[l]]`), rows accumulate into local slots in row
-//!   order, and shard exit writes the values back — `remap` is injective,
-//!   so every global slot's float operation sequence is exactly the
-//!   monolithic one;
-//! * **pass-j dense cells** premultiply `remap` by the group strides
-//!   (`lcell[l] = remap[l] * stride`, integer) so cell indices are
-//!   identical to the decoded scan's.
+//! a single row. A local-code equality scan hits exactly the rows the
+//! global-code scan hits, so positions and counts are identical.
 //!
 //! The equality-compare inner loops dispatch through [`crate::accel`]
 //! (AVX2 with scalar fallback); SIMD changes neither positions nor order.
 //!
-//! Consequently the sharded search, BRS, coverage scans, and scoring are
-//! **bit-identical to the monolithic path for any shard count and any
-//! resident budget** — eviction and spill reload only change when bytes
-//! are in memory, never which bytes. The same holds for *how the storage
-//! was built* (`ShardedTable::from_table` vs the streaming
-//! `ShardBuilder`) and for the *eviction policy* (`Residency::Lru` vs
-//! `Sweep`): a stream-built table holds byte-identical segments and the
-//! policy only reorders spill traffic. Segment `Arc`s these scans hold
-//! in flight are **pinned** in the residency cache (they count against
-//! the budget rather than escaping it), which throttles memory, never
-//! results. `tests/shard_parity.rs` asserts all of this end to end
-//! (search winners, sample stores, server transcripts) across shard
-//! counts 1..=8 × both builds, including budgets that force spill.
+//! Consequently every scan is **bit-identical to the monolithic path for
+//! any shard count, any resident budget, any eviction policy and either
+//! build** (`ShardedTable::from_table` or the streaming `ShardBuilder`):
+//! eviction and reload only change when bytes are in memory, never which
+//! bytes. `tests/shard_parity.rs` asserts this end to end (sample stores,
+//! explorer sessions, server transcripts) across shard counts 1..=8,
+//! including budgets that force spill.
 //!
 //! ## Fallibility
 //!
-//! Every scan comes in two forms: a `try_*` variant returning
-//! `Result<_, TableError>` (a damaged spill file surfaces as
-//! [`TableError::Corrupt`]/[`TableError::Io`] — the server stack uses
-//! these so a session gets an error response instead of a crash) and the
-//! original infallible name, which `expect`s — appropriate for embedded
-//! use where the table's own spill files are trusted.
+//! Every scan returns `Result<_, TableError>`: a damaged spill file
+//! surfaces as [`TableError::Corrupt`]/[`TableError::Io`], so a served
+//! session gets an error response instead of a crash. This file is
+//! panic-free (lint rule P001).
 
 use crate::accel;
-use crate::brs::{Brs, BrsResult, ScoredRule};
-use crate::exec;
-use crate::kernel::{
-    build_groups, generate_level, level_blocks, pass1_candidates, pick_winner, CandStat, Group,
-    Pass1Cands, SearchScratch,
-};
-use crate::marginal::{BestMarginal, SearchOptions, SearchStats};
-use crate::score::ListScore;
-use crate::weight::RequireColumn;
-use crate::{Rule, WeightFn};
-use rustc_hash::FxHashMap;
-use sdd_table::{
-    LocalCodes, RawColumn, RawSegment, RowId, SegmentData, ShardRun, ShardSegment, ShardedTable,
-    ShardedView, TableError,
-};
+use crate::Rule;
+use sdd_table::{LocalCodes, RawColumn, RowId, ShardSegment, ShardedTable, TableError};
 use std::ops::Range;
 use std::sync::Arc;
 
-const SPILL_EXPECT: &str = "shard spill file must decode (written by this table)";
-
-// ---------------------------------------------------------------------------
-// Pushdown plumbing: fetching shard columns in their cheapest form and
-// translating rule predicates into local code space.
-// ---------------------------------------------------------------------------
-
-/// The column data one coverage scan obtained for one shard, in whatever
-/// form was cheapest to get.
-enum FetchedCols {
-    /// The cached decoded segment (global codes).
+/// The columns one scan obtained for one shard, in whichever form was
+/// cheapest to get.
+enum ShardCols {
+    /// The cached decoded segment (global codes, every column).
     Decoded(Arc<ShardSegment>),
-    /// The cached raw segment (every column, packed local codes).
-    Raw(Arc<RawSegment>),
-    /// A transient range read of just the requested columns, in request
-    /// order — never enters the residency cache.
-    Transient(Vec<RawColumn>),
+    /// A transient range read of just the requested columns, each paired
+    /// with its column index, in request order — never enters the
+    /// residency cache.
+    Raw(Vec<(usize, RawColumn)>),
 }
 
-/// One shard's fetched columns plus the request list (which indexes the
-/// transient form).
-struct ShardCols<'a> {
-    cols: &'a [usize],
-    data: FetchedCols,
-}
-
-impl ShardCols<'_> {
-    /// The decoded segment, when that form was cached.
-    fn decoded(&self) -> Option<&ShardSegment> {
-        match &self.data {
-            FetchedCols::Decoded(seg) => Some(seg),
-            _ => None,
-        }
-    }
-
-    /// Column `c` in spill coding (`None` when the decoded form is held).
-    /// `c` must be one of the requested columns.
-    fn raw_col(&self, c: usize) -> Option<&RawColumn> {
-        match &self.data {
-            FetchedCols::Decoded(_) => None,
-            FetchedCols::Raw(r) => Some(r.col(c)),
-            FetchedCols::Transient(v) => {
-                let k = self
-                    .cols
-                    .iter()
-                    .position(|&x| x == c)
-                    .expect("column was fetched");
-                Some(&v[k])
-            }
-        }
-    }
-}
-
-/// Fetches `cols` of one shard for a coverage scan: whatever form is
-/// cached, else a transient range read of only those columns (residency
+/// Fetches `cols` of one shard: the cached decoded segment if resident,
+/// else a transient range read of only those columns (residency
 /// undisturbed).
-fn fetch_cols<'a>(
-    st: &ShardedTable,
-    shard: usize,
-    cols: &'a [usize],
-) -> Result<ShardCols<'a>, TableError> {
-    let data = match st.cached_data(shard) {
-        Some(SegmentData::Decoded(seg)) => FetchedCols::Decoded(seg),
-        Some(SegmentData::Raw(raw)) => FetchedCols::Raw(raw),
-        None if st.spill_path(shard).is_some() => {
-            FetchedCols::Transient(st.read_columns(shard, cols)?)
-        }
-        // Fully-resident tables always hit the cache; kept total anyway.
-        None => FetchedCols::Decoded(st.try_segment(shard)?),
-    };
-    Ok(ShardCols { cols, data })
+fn fetch_cols(st: &ShardedTable, shard: usize, cols: &[usize]) -> Result<ShardCols, TableError> {
+    if let Some(seg) = st.cached_data(shard) {
+        return Ok(ShardCols::Decoded(seg));
+    }
+    if st.spill_path(shard).is_some() {
+        let raw = st.read_columns(shard, cols)?;
+        return Ok(ShardCols::Raw(cols.iter().copied().zip(raw).collect()));
+    }
+    // Fully-resident tables always hit the cache; kept total anyway.
+    Ok(ShardCols::Decoded(st.try_segment(shard)?))
 }
 
-/// Translates `rule`'s predicates on `cols` into the shard's local code
-/// space. `None` ⇒ some predicate value never occurs in this shard
-/// (absent from the column's `remap`): the rule covers zero rows here and
-/// the caller skips the shard without touching its rows.
+/// Translates `rule`'s predicates into the shard's local code space, one
+/// per fetched column the rule instantiates (the fetch covers every such
+/// column by construction). `None` ⇒ some predicate value never occurs in
+/// this shard (absent from the column's `remap`): the rule covers zero
+/// rows here and the caller skips the shard without touching its rows.
 fn local_predicates<'a>(
-    f: &'a ShardCols<'_>,
+    raw: &'a [(usize, RawColumn)],
     rule: &Rule,
-    cols: &[usize],
 ) -> Option<Vec<(&'a LocalCodes, u32)>> {
-    cols.iter()
-        .map(|&c| {
-            let rc = f.raw_col(c).expect("raw form");
-            rc.local_of_global(rule.code(c)).map(|l| (rc.codes(), l))
-        })
+    raw.iter()
+        .filter(|(c, _)| !rule.is_star(*c))
+        .map(|(c, rc)| rc.local_of_global(rule.code(*c)).map(|l| (rc.codes(), l)))
         .collect()
 }
 
@@ -200,39 +116,41 @@ fn count_eq_local(codes: &LocalCodes, want: u32) -> usize {
     }
 }
 
-/// Appends the ids (`span.start + local`) of `rule`'s covered rows in one
-/// full shard to `out`, ascending — for all-rows views these are equally
-/// view positions. First column via the SIMD equality scan, remaining
-/// columns by survivor filtering; the raw form scans packed local codes
-/// after predicate translation.
-fn covered_in_shard(
-    f: &ShardCols<'_>,
+/// The shard-local indices (offset by `base`) of the rows of one shard
+/// matching every predicate, ascending: the first predicate via the SIMD
+/// equality scan, the rest by survivor filtering. No predicates cover all
+/// `n_rows` rows.
+fn positions_matching_decoded(
+    seg: &ShardSegment,
     rule: &Rule,
     cols: &[usize],
-    span: &Range<usize>,
-    out: &mut Vec<u32>,
-) {
-    let base = span.start as u32;
+    base: u32,
+    n_rows: usize,
+) -> Vec<u32> {
     let mut hits: Vec<u32> = Vec::new();
-    if let Some(seg) = f.decoded() {
-        let (&first, rest) = cols.split_first().expect("non-empty");
-        accel::positions_eq_u32(seg.col(first), rule.code(first), base, &mut hits);
-        for &c in rest {
-            let codes = seg.col(c);
-            let want = rule.code(c);
-            hits.retain(|&r| codes[(r - base) as usize] == want);
-        }
-    } else {
-        let Some(preds) = local_predicates(f, rule, cols) else {
-            return; // zero-count shard: predicate value absent from remap
-        };
-        let (&(first_codes, first_want), rest) = preds.split_first().expect("non-empty");
-        positions_eq_local(first_codes, first_want, base, &mut hits);
-        for &(codes, want) in rest {
-            hits.retain(|&r| codes.at((r - base) as usize) == want);
-        }
+    let [first, rest @ ..] = cols else {
+        return (base..base + n_rows as u32).collect();
+    };
+    accel::positions_eq_u32(seg.col(*first), rule.code(*first), base, &mut hits);
+    for &c in rest {
+        let codes = seg.col(c);
+        let want = rule.code(c);
+        hits.retain(|&r| codes[(r - base) as usize] == want);
     }
-    out.extend(hits);
+    hits
+}
+
+/// [`positions_matching_decoded`] over translated local-code predicates.
+fn positions_matching_local(preds: &[(&LocalCodes, u32)], base: u32, n_rows: usize) -> Vec<u32> {
+    let mut hits: Vec<u32> = Vec::new();
+    let [(first_codes, first_want), rest @ ..] = preds else {
+        return (base..base + n_rows as u32).collect();
+    };
+    positions_eq_local(first_codes, *first_want, base, &mut hits);
+    for &(codes, want) in rest {
+        hits.retain(|&r| codes.at((r - base) as usize) == want);
+    }
+    hits
 }
 
 // ---------------------------------------------------------------------------
@@ -242,42 +160,20 @@ fn covered_in_shard(
 /// All row ids of `table` covered by `rule` (ascending) — the sharded twin
 /// of [`crate::covered_rows`]: shards are filtered in index order and the
 /// per-shard hit lists concatenate, so the output is byte-identical to the
-/// monolithic scan on any shard count. Infallible wrapper over
-/// [`try_covered_rows_sharded`].
-pub fn covered_rows_sharded(table: &ShardedTable, rule: &Rule) -> Vec<RowId> {
-    try_covered_rows_sharded(table, rule).expect(SPILL_EXPECT)
-}
-
-/// Fallible [`covered_rows_sharded`]. Cached shards are scanned in place
-/// (decoded or raw); misses range-read only the rule's columns.
+/// monolithic scan on any shard count. Cached shards are scanned in place;
+/// misses range-read only the rule's columns.
 pub fn try_covered_rows_sharded(
     table: &ShardedTable,
     rule: &Rule,
 ) -> Result<Vec<RowId>, TableError> {
-    let cols: Vec<usize> = rule.instantiated_columns().collect();
-    let n = table.n_rows();
-    if cols.is_empty() {
-        return Ok((0..n as RowId).collect());
-    }
-    let mut out: Vec<RowId> = Vec::new();
-    for i in 0..table.n_shards() {
-        let span = table.spans()[i].clone();
-        if span.is_empty() {
-            continue;
-        }
-        let f = fetch_cols(table, i, &cols)?;
-        covered_in_shard(&f, rule, &cols, &span, &mut out);
-    }
-    Ok(out)
+    try_covered_rows_sharded_range(table, rule, 0..table.n_rows())
 }
 
-/// All row ids in `range` covered by `rule` (ascending): the ranged twin
+/// All row ids in `range` covered by `rule` (ascending): the ranged form
 /// of [`try_covered_rows_sharded`], scanning only the shards that overlap
 /// the range. This is what incremental sample maintenance uses to offer
 /// exactly one epoch's appended rows (`epoch_rows[e-1]..epoch_rows[e]`)
-/// without rescanning the table. The full-range call returns byte-identical
-/// output to [`try_covered_rows_sharded`] by construction: shards are
-/// visited in index order and per-shard hits are ascending either way.
+/// without rescanning the table. Out-of-bounds ranges clamp to the table.
 pub fn try_covered_rows_sharded_range(
     table: &ShardedTable,
     rule: &Rule,
@@ -293,128 +189,40 @@ pub fn try_covered_rows_sharded_range(
         return Ok((lo as RowId..hi as RowId).collect());
     }
     let mut out: Vec<RowId> = Vec::new();
-    for i in 0..table.n_shards() {
-        let span = table.spans()[i].clone();
+    for (i, span) in table.spans().iter().enumerate() {
         if span.is_empty() || span.end <= lo || span.start >= hi {
             continue;
         }
-        let f = fetch_cols(table, i, &cols)?;
-        let before = out.len();
-        covered_in_shard(&f, rule, &cols, &span, &mut out);
+        let base = span.start as RowId;
+        let hits = match fetch_cols(table, i, &cols)? {
+            ShardCols::Decoded(seg) => {
+                positions_matching_decoded(&seg, rule, &cols, base, span.len())
+            }
+            ShardCols::Raw(raw) => match local_predicates(&raw, rule) {
+                Some(preds) => positions_matching_local(&preds, base, span.len()),
+                // Zero-count shard: a predicate value absent from remap.
+                None => continue,
+            },
+        };
         if span.start < lo || span.end > hi {
             // Boundary shard: keep only the in-range hits.
-            let (lo32, hi32) = (lo as RowId, hi as RowId);
-            let mut w = before;
-            for r in before..out.len() {
-                let v = out[r];
-                if (lo32..hi32).contains(&v) {
-                    out[w] = v;
-                    w += 1;
-                }
-            }
-            out.truncate(w);
+            let window = lo as RowId..hi as RowId;
+            out.extend(hits.into_iter().filter(|r| window.contains(r)));
+        } else {
+            out.extend(hits);
         }
     }
     Ok(out)
 }
 
-/// View positions (ascending) whose rows are covered by `rule` — the
-/// sharded twin of [`crate::covered_positions`]. Byte-identical output.
-/// Infallible wrapper over [`try_covered_positions_sharded`].
-pub fn covered_positions_sharded(view: &ShardedView, rule: &Rule) -> Vec<u32> {
-    try_covered_positions_sharded(view, rule).expect(SPILL_EXPECT)
-}
-
-/// Fallible [`covered_positions_sharded`]. All-rows views use the
-/// contiguous per-shard SIMD scan (position = row id); subset views probe
-/// row-at-a-time with per-shard predicate translation.
-pub fn try_covered_positions_sharded(
-    view: &ShardedView,
-    rule: &Rule,
-) -> Result<Vec<u32>, TableError> {
-    let cols: Vec<usize> = rule.instantiated_columns().collect();
-    if cols.is_empty() {
-        return Ok((0..view.len() as u32).collect());
-    }
-    let st = view.table();
-    let mut out: Vec<u32> = Vec::new();
-    if view.row_ids().is_none() {
-        // All-rows view: one contiguous run per shard, position == row id.
-        for run in view.shard_runs() {
-            let span = st.spans()[run.shard].clone();
-            let f = fetch_cols(st, run.shard, &cols)?;
-            covered_in_shard(&f, rule, &cols, &span, &mut out);
-        }
-        return Ok(out);
-    }
-    // Subset view: fetch each touched shard once (runs may revisit).
-    let mut fetched: FxHashMap<usize, ShardCols<'_>> = FxHashMap::default();
-    for run in view.shard_runs() {
-        if let std::collections::hash_map::Entry::Vacant(e) = fetched.entry(run.shard) {
-            e.insert(fetch_cols(st, run.shard, &cols)?);
-        }
-        let f = &fetched[&run.shard];
-        let start = st.spans()[run.shard].start;
-        if let Some(seg) = f.decoded() {
-            for pos in run.positions.clone() {
-                let local = seg.local(view.row_at(pos));
-                if cols.iter().all(|&c| seg.col(c)[local] == rule.code(c)) {
-                    out.push(pos as u32);
-                }
-            }
-        } else if let Some(preds) = local_predicates(f, rule, &cols) {
-            for pos in run.positions.clone() {
-                let local = view.row_at(pos) as usize - start;
-                if preds.iter().all(|&(codes, want)| codes.at(local) == want) {
-                    out.push(pos as u32);
-                }
-            }
-        }
-        // else: predicate value absent from this shard — no positions.
-    }
-    Ok(out)
-}
-
-/// Filters `view` to the positions covered by `base` — the sharded twin of
-/// [`crate::filter_to_rule`]. Row order and weights are preserved.
-/// Infallible wrapper over [`try_filter_to_rule_sharded`].
-pub fn filter_to_rule_sharded(view: &ShardedView, base: &Rule) -> ShardedView {
-    try_filter_to_rule_sharded(view, base).expect(SPILL_EXPECT)
-}
-
-/// Fallible [`filter_to_rule_sharded`].
-pub fn try_filter_to_rule_sharded(
-    view: &ShardedView,
-    base: &Rule,
-) -> Result<ShardedView, TableError> {
-    let positions = try_covered_positions_sharded(view, base)?;
-    let rows: Vec<RowId> = positions.iter().map(|&p| view.row_at(p as usize)).collect();
-    Ok(match view.weights() {
-        Some(_) => {
-            let weights: Vec<f64> = positions
-                .iter()
-                .map(|&p| view.weight_at(p as usize))
-                .collect();
-            ShardedView::with_rows_and_weights(view.table().clone(), rows, weights)
-        }
-        None => ShardedView::with_rows(view.table().clone(), rows),
-    })
-}
-
-/// Exact counts of every rule in one pass over the sharded table — the scan
-/// behind the explorer's sharded `refresh`. Infallible wrapper over
-/// [`try_count_rules_sharded`].
-pub fn count_rules_sharded(table: &ShardedTable, rules: &[Rule]) -> Vec<f64> {
-    try_count_rules_sharded(table, rules).expect(SPILL_EXPECT)
-}
-
-/// Fallible [`count_rules_sharded`].
+/// Exact counts of every rule in one pass over the sharded table — the
+/// sharded twin of [`crate::count_rules`] and the scan behind the
+/// explorer's `refresh` on segmented storage.
 ///
 /// det-order: counts are exact integers (a sum of `k` unit additions is
 /// exactly `k` in f64 for `k < 2^53`), so per-shard `u64` subtotals
-/// reproduce the monolithic unit-accumulation bitwise —
-/// which frees each shard to use the SIMD count kernels over whichever
-/// form it holds.
+/// reproduce the monolithic unit-accumulation bitwise — which frees each
+/// shard to use the SIMD count kernels over whichever form it holds.
 pub fn try_count_rules_sharded(
     table: &ShardedTable,
     rules: &[Rule],
@@ -426,8 +234,7 @@ pub fn try_count_rules_sharded(
         .collect();
     needed.sort_unstable();
     needed.dedup();
-    for i in 0..table.n_shards() {
-        let span = table.spans()[i].clone();
+    for (i, span) in table.spans().iter().enumerate() {
         if span.is_empty() {
             continue;
         }
@@ -448,763 +255,32 @@ pub fn try_count_rules_sharded(
 
 /// One rule's covered-row count in one shard. Single-column rules use the
 /// vectorized count kernel directly; wider rules filter survivors.
-fn count_rule_in_shard(f: &ShardCols<'_>, rule: &Rule, n_rows: usize) -> u64 {
-    let cols: Vec<usize> = rule.instantiated_columns().collect();
-    if cols.is_empty() {
-        return n_rows as u64;
-    }
-    if let Some(seg) = f.decoded() {
-        if let [c] = cols[..] {
-            return accel::count_eq_u32(seg.col(c), rule.code(c)) as u64;
-        }
-        let (&first, rest) = cols.split_first().expect("non-empty");
-        let mut hits: Vec<u32> = Vec::new();
-        accel::positions_eq_u32(seg.col(first), rule.code(first), 0, &mut hits);
-        for &c in rest {
-            let codes = seg.col(c);
-            let want = rule.code(c);
-            hits.retain(|&r| codes[r as usize] == want);
-        }
-        hits.len() as u64
-    } else {
-        let Some(preds) = local_predicates(f, rule, &cols) else {
-            return 0; // zero-count shard
-        };
-        if let [(codes, want)] = preds[..] {
-            return count_eq_local(codes, want) as u64;
-        }
-        let (&(first_codes, first_want), rest) = preds.split_first().expect("non-empty");
-        let mut hits: Vec<u32> = Vec::new();
-        positions_eq_local(first_codes, first_want, 0, &mut hits);
-        for &(codes, want) in rest {
-            hits.retain(|&r| codes.at(r as usize) == want);
-        }
-        hits.len() as u64
-    }
-}
-
-/// The (weighted) `Count` of one rule over a sharded view — twin of
-/// [`crate::rule_count`]. Infallible wrapper over
-/// [`try_rule_count_sharded`].
-pub fn rule_count_sharded(view: &ShardedView, rule: &Rule) -> f64 {
-    try_rule_count_sharded(view, rule).expect(SPILL_EXPECT)
-}
-
-/// Fallible [`rule_count_sharded`].
-pub fn try_rule_count_sharded(view: &ShardedView, rule: &Rule) -> Result<f64, TableError> {
-    Ok(try_covered_positions_sharded(view, rule)?
-        .into_iter()
-        .map(|p| view.weight_at(p as usize))
-        .sum())
-}
-
-/// Sorts rules in descending weight order — twin of
-/// [`crate::sort_by_weight_desc`]; weights come from the always-resident
-/// header (same dictionaries and cardinalities as the monolithic table).
-pub fn sort_by_weight_desc_sharded(
-    table: &ShardedTable,
-    weight: &dyn WeightFn,
-    rules: &[Rule],
-) -> Vec<Rule> {
-    let header = table.header();
-    let mut keyed: Vec<(f64, &Rule)> = rules
-        .iter()
-        .map(|r| (weight.weight(r, header), r))
-        .collect();
-    keyed.sort_by(|(wa, ra), (wb, rb)| {
-        wb.partial_cmp(wa)
-            .expect("weights must be finite")
-            .then_with(|| ra.codes().cmp(rb.codes()))
-    });
-    keyed.into_iter().map(|(_, r)| r.clone()).collect()
-}
-
-/// Scores `rules` in the given order against a sharded view — twin of
-/// [`crate::score_list`]. Infallible wrapper over
-/// [`try_score_list_sharded`].
-pub fn score_list_sharded(view: &ShardedView, weight: &dyn WeightFn, rules: &[Rule]) -> ListScore {
-    try_score_list_sharded(view, weight, rules).expect(SPILL_EXPECT)
-}
-
-/// Fallible [`score_list_sharded`].
-///
-/// det-order: positions are visited in order (shard runs partition them in
-/// order), so every accumulator receives the same additions in the same
-/// order as the monolithic scan. `MCount` is
-/// first-rule-wins per row, which forces the row-at-a-time sweep; the
-/// pushdown contribution is per-shard predicate translation (raw shards
-/// test packed local codes, and a rule whose value is absent from a
-/// shard's remap is skipped for that shard wholesale).
-pub fn try_score_list_sharded(
-    view: &ShardedView,
-    weight: &dyn WeightFn,
-    rules: &[Rule],
-) -> Result<ListScore, TableError> {
-    let st = view.table();
-    let header = st.header();
-    let weights: Vec<f64> = rules.iter().map(|r| weight.weight(r, header)).collect();
-    let mut counts = vec![0.0f64; rules.len()];
-    let mut mcounts = vec![0.0f64; rules.len()];
-    let mut uncovered = 0.0f64;
-
-    let mut needed: Vec<usize> = rules
-        .iter()
-        .flat_map(|r| r.instantiated_columns())
-        .collect();
-    needed.sort_unstable();
-    needed.dedup();
-
-    let mut fetched: FxHashMap<usize, ShardCols<'_>> = FxHashMap::default();
-    let n_cols = st.n_columns();
-    let mut codes: Vec<u32> = Vec::with_capacity(n_cols);
-    for run in view.shard_runs() {
-        if let std::collections::hash_map::Entry::Vacant(e) = fetched.entry(run.shard) {
-            e.insert(fetch_cols(st, run.shard, &needed)?);
-        }
-        let f = &fetched[&run.shard];
-        if let Some(seg) = f.decoded() {
-            for pos in run.positions.clone() {
-                let local = seg.local(view.row_at(pos));
-                codes.clear();
-                codes.extend((0..n_cols).map(|c| seg.col(c)[local]));
-                let w = view.weight_at(pos);
-                let mut assigned = false;
-                for (i, rule) in rules.iter().enumerate() {
-                    if rule.covers_codes(&codes) {
-                        counts[i] += w;
-                        if !assigned {
-                            mcounts[i] += w;
-                            assigned = true;
-                        }
-                    }
-                }
-                if !assigned {
-                    uncovered += w;
-                }
+fn count_rule_in_shard(f: &ShardCols, rule: &Rule, n_rows: usize) -> u64 {
+    match f {
+        ShardCols::Decoded(seg) => {
+            let cols: Vec<usize> = rule.instantiated_columns().collect();
+            if let [c] = cols[..] {
+                return accel::count_eq_u32(seg.col(c), rule.code(c)) as u64;
             }
-        } else {
-            // Per-rule local predicates; `None` = rule dead in this shard.
-            let preds: Vec<Option<Vec<(&LocalCodes, u32)>>> = rules
-                .iter()
-                .map(|rule| {
-                    let cols: Vec<usize> = rule.instantiated_columns().collect();
-                    local_predicates(f, rule, &cols)
-                })
-                .collect();
-            let start = st.spans()[run.shard].start;
-            for pos in run.positions.clone() {
-                let local = view.row_at(pos) as usize - start;
-                let w = view.weight_at(pos);
-                let mut assigned = false;
-                for (i, pred) in preds.iter().enumerate() {
-                    let covered = pred
-                        .as_ref()
-                        .is_some_and(|ps| ps.iter().all(|&(codes, want)| codes.at(local) == want));
-                    if covered {
-                        counts[i] += w;
-                        if !assigned {
-                            mcounts[i] += w;
-                            assigned = true;
-                        }
-                    }
-                }
-                if !assigned {
-                    uncovered += w;
-                }
-            }
+            positions_matching_decoded(seg, rule, &cols, 0, n_rows).len() as u64
         }
-    }
-
-    let total = weights.iter().zip(&mcounts).map(|(w, m)| w * m).sum();
-    let rules = rules
-        .iter()
-        .zip(weights)
-        .zip(counts.iter().zip(&mcounts))
-        .map(
-            |((rule, weight), (&count, &mcount))| crate::score::RuleScore {
-                rule: rule.clone(),
-                weight,
-                count,
-                mcount,
-            },
-        )
-        .collect();
-    Ok(ListScore {
-        rules,
-        total,
-        uncovered,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Algorithm 2 over sharded storage
-// ---------------------------------------------------------------------------
-
-/// Runs Algorithm 2 over a sharded view — the per-shard counting kernel.
-/// Infallible wrapper over [`try_find_best_marginal_rule_sharded`].
-pub fn find_best_marginal_rule_sharded(
-    view: &ShardedView,
-    weight: &dyn WeightFn,
-    covered_weight: &[f64],
-    opts: &SearchOptions,
-    scratch: &mut SearchScratch,
-) -> Option<BestMarginal> {
-    try_find_best_marginal_rule_sharded(view, weight, covered_weight, opts, scratch)
-        .expect(SPILL_EXPECT)
-}
-
-/// Runs Algorithm 2 over a sharded view — the per-shard counting kernel.
-///
-/// Candidate generation, pruning, group layout, and winner selection are
-/// the exact code the monolithic kernel runs
-/// ([`crate::kernel`] shares them); only the row scans differ, and those
-/// follow the determinism contract in the module docs — so the result is
-/// bit-identical to [`crate::find_best_marginal_rule`] on the equivalent
-/// monolithic view, for any shard count, resident budget, and thread count
-/// (det-order: float merges delegate to the pass helpers below, which
-/// replay the monolithic operation order or reduce pairwise).
-/// Shards are consumed in whichever cached form they hold; spilled shards
-/// are counted straight off their packed local codes (see the module docs'
-/// pushdown section).
-pub fn try_find_best_marginal_rule_sharded(
-    view: &ShardedView,
-    weight: &dyn WeightFn,
-    covered_weight: &[f64],
-    opts: &SearchOptions,
-    scratch: &mut SearchScratch,
-) -> Result<Option<BestMarginal>, TableError> {
-    assert_eq!(
-        covered_weight.len(),
-        view.len(),
-        "covered_weight must align with view"
-    );
-    let st = view.table();
-    let header = st.header();
-    let n_cols = st.n_columns();
-    let base = opts.base.clone().unwrap_or_else(|| Rule::trivial(n_cols));
-    let free_cols: Vec<usize> = (0..n_cols).filter(|&c| base.is_star(c)).collect();
-    let max_size = opts
-        .max_rule_size
-        .unwrap_or(free_cols.len())
-        .min(free_cols.len());
-    if max_size == 0 || view.is_empty() {
-        return Ok(None);
-    }
-
-    let runs = view.shard_runs();
-    let threads = if cfg!(feature = "parallel")
-        && opts.parallel
-        && view.len() >= opts.parallel_min_rows.max(1)
-    {
-        exec::worker_threads()
-    } else {
-        1
-    };
-
-    let mut stats = SearchStats::default();
-    let mut counted: FxHashMap<Rule, CandStat> = FxHashMap::default();
-    let mut best_h = 0.0f64;
-
-    // ---- Pass 1: per-shard columnar counting. ----
-    stats.passes = 1;
-    let col_counts = pass1_counts_sharded(view, &runs, &free_cols, threads)?;
-    let cands: Vec<Pass1Cands> = free_cols
-        .iter()
-        .enumerate()
-        .map(|(fi, &c)| pass1_candidates(header, &base, c, &col_counts[fi], weight, opts))
-        .collect();
-    let col_marginals =
-        pass1_marginals_sharded(view, &runs, &free_cols, &cands, covered_weight, threads)?;
-
-    let mut level: Vec<Rule> = Vec::new();
-    for (fi, cand) in cands.iter().enumerate() {
-        stats.generated += cand.generated;
-        stats.pruned += cand.pruned;
-        stats.counted += cand.rules.len();
-        let c = free_cols[fi];
-        for rule in &cand.rules {
-            let code = rule.code(c) as usize;
-            let stat = CandStat {
-                count: col_counts[fi][code],
-                marginal: col_marginals[fi][code],
-                weight: cand.wtab[code],
+        ShardCols::Raw(raw) => {
+            let Some(preds) = local_predicates(raw, rule) else {
+                return 0; // zero-count shard
             };
-            counted.insert(rule.clone(), stat);
-            if stat.marginal > best_h {
-                best_h = stat.marginal;
+            if let [(codes, want)] = preds[..] {
+                return count_eq_local(codes, want) as u64;
             }
+            positions_matching_local(&preds, 0, n_rows).len() as u64
         }
-        level.extend(cand.rules.iter().cloned());
-    }
-
-    // ---- Passes 2..: shared a-priori generation, per-shard counting. ----
-    let blocks = level_blocks(&level, &base);
-    let mut current = level;
-    for _pass in 2..=max_size {
-        let (next, cand_weights) = generate_level(
-            header, &base, &blocks, &current, &counted, weight, opts, best_h, &mut stats,
-        );
-        if next.is_empty() {
-            break;
-        }
-        stats.passes += 1;
-        stats.counted += next.len();
-
-        build_groups(scratch, header, &base, &next, view.len());
-        count_level_sharded(view, &runs, scratch, &cand_weights, covered_weight, threads)?;
-
-        for (cand, stat) in next.iter().zip(&scratch.cstats) {
-            if stat.marginal > best_h {
-                best_h = stat.marginal;
-            }
-            counted.insert(cand.clone(), *stat);
-        }
-        current = next;
-    }
-
-    Ok(pick_winner(&counted, stats))
-}
-
-/// One column's pass-1 unit count over one run, as exact `u64` partials.
-/// Raw shards histogram in local code space and scatter through `remap`
-/// (integer addition — associative, exact).
-fn pass1_unit_counts_run(
-    view: &ShardedView,
-    run: &ShardRun,
-    data: &SegmentData,
-    col: usize,
-    card: usize,
-) -> Vec<u64> {
-    let mut counts = vec![0u64; card];
-    match data {
-        SegmentData::Decoded(seg) => {
-            let codes = seg.col(col);
-            for pos in run.positions.clone() {
-                counts[codes[seg.local(view.row_at(pos))] as usize] += 1;
-            }
-        }
-        SegmentData::Raw(raw) => {
-            let rc = raw.col(col);
-            let start = raw.span().start;
-            let codes = rc.codes();
-            let mut lhist = vec![0u64; rc.cardinality()];
-            for pos in run.positions.clone() {
-                let local = view.row_at(pos) as usize - start;
-                lhist[codes.at(local) as usize] += 1;
-            }
-            for (l, &g) in rc.remap().iter().enumerate() {
-                counts[g as usize] += lhist[l];
-            }
-        }
-    }
-    counts
-}
-
-/// One column's weighted pass-1 count accumulation over one run, in row
-/// order (det-order: runs arrive in position order, so the float operation
-/// sequence is the monolithic one). Raw shards use the swap-in/swap-out
-/// trick (module docs): local
-/// accumulators borrow and return the global slots' running values, so the
-/// float operation sequence matches the decoded scan exactly.
-fn pass1_count_run(
-    view: &ShardedView,
-    run: &ShardRun,
-    data: &SegmentData,
-    col: usize,
-    counts: &mut [f64],
-) {
-    match data {
-        SegmentData::Decoded(seg) => {
-            let codes = seg.col(col);
-            for pos in run.positions.clone() {
-                counts[codes[seg.local(view.row_at(pos))] as usize] += view.weight_at(pos);
-            }
-        }
-        SegmentData::Raw(raw) => {
-            let rc = raw.col(col);
-            let start = raw.span().start;
-            let codes = rc.codes();
-            let remap = rc.remap();
-            let mut lacc: Vec<f64> = remap.iter().map(|&g| counts[g as usize]).collect();
-            for pos in run.positions.clone() {
-                let local = view.row_at(pos) as usize - start;
-                lacc[codes.at(local) as usize] += view.weight_at(pos);
-            }
-            for (l, &g) in remap.iter().enumerate() {
-                counts[g as usize] = lacc[l];
-            }
-        }
-    }
-}
-
-/// Pass-1 counts per free column.
-///
-/// Unit-weight views fan out **one task per shard run** — the task fetches
-/// its segment data exactly once and counts every free column over it —
-/// with private `u64` partials, merged per column in run order by
-/// [`exec::reduce_pairwise`]: integer addition is associative, so this is
-/// exact and identical to the serial sweep, and at most `threads` segments
-/// are pinned at a time. Weighted views thread one `f64` accumulator per
-/// column through the runs in order (columns in parallel, runs
-/// sequential), reproducing the monolithic float operation order.
-fn pass1_counts_sharded(
-    view: &ShardedView,
-    runs: &[ShardRun],
-    free_cols: &[usize],
-    threads: usize,
-) -> Result<Vec<Vec<f64>>, TableError> {
-    let st = view.table();
-    if view.weights().is_none() && threads > 1 {
-        let per_run: Vec<Result<Vec<Vec<u64>>, TableError>> =
-            exec::parallel_map(threads, runs.to_vec(), |run| {
-                let data = st.segment_data(run.shard)?;
-                Ok(free_cols
-                    .iter()
-                    .map(|&c| pass1_unit_counts_run(view, &run, &data, c, st.cardinality(c)))
-                    .collect())
-            });
-        // Transpose to per-column partial lists (run order preserved).
-        let mut col_parts: Vec<Vec<Vec<u64>>> = (0..free_cols.len())
-            .map(|_| Vec::with_capacity(runs.len()))
-            .collect();
-        for run_out in per_run {
-            for (fi, counts) in run_out?.into_iter().enumerate() {
-                col_parts[fi].push(counts);
-            }
-        }
-        return Ok(col_parts
-            .into_iter()
-            .map(|parts| {
-                let merged = exec::reduce_pairwise(parts, |a, b| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x += y;
-                    }
-                });
-                merged.into_iter().map(|c| c as f64).collect()
-            })
-            .collect());
-    }
-
-    let mut accs: Vec<(usize, Vec<f64>)> = free_cols
-        .iter()
-        .enumerate()
-        .map(|(fi, &c)| (fi, vec![0.0f64; st.cardinality(c)]))
-        .collect();
-    for run in runs {
-        let data = st.segment_data(run.shard)?;
-        accs = exec::parallel_map(threads, accs, |(fi, mut counts)| {
-            pass1_count_run(view, run, &data, free_cols[fi], &mut counts);
-            (fi, counts)
-        });
-    }
-    Ok(accs.into_iter().map(|(_, c)| c).collect())
-}
-
-/// Pass-1 marginal sweep: one shared `f64` accumulator per column, runs in
-/// order (columns in parallel) — det-order: the monolithic operation order
-/// exactly, one run at a time.
-/// Raw shards swap the accumulator and the weight table into local code
-/// space for the run (`lw[l] = wtab[remap[l]]` is a pure relabeling).
-fn pass1_marginals_sharded(
-    view: &ShardedView,
-    runs: &[ShardRun],
-    free_cols: &[usize],
-    cands: &[Pass1Cands],
-    covered_weight: &[f64],
-    threads: usize,
-) -> Result<Vec<Vec<f64>>, TableError> {
-    let st = view.table();
-    let mut accs: Vec<(usize, Vec<f64>)> = free_cols
-        .iter()
-        .enumerate()
-        .map(|(fi, &c)| (fi, vec![0.0f64; st.cardinality(c)]))
-        .collect();
-    for run in runs {
-        let data = st.segment_data(run.shard)?;
-        accs = exec::parallel_map(threads, accs, |(fi, mut marginals)| {
-            let wtab = &cands[fi].wtab;
-            match &data {
-                SegmentData::Decoded(seg) => {
-                    let codes = seg.col(free_cols[fi]);
-                    for pos in run.positions.clone() {
-                        let code = codes[seg.local(view.row_at(pos))] as usize;
-                        let w = wtab[code];
-                        marginals[code] += view.weight_at(pos) * (w - w.min(covered_weight[pos]));
-                    }
-                }
-                SegmentData::Raw(raw) => {
-                    let rc = raw.col(free_cols[fi]);
-                    let start = raw.span().start;
-                    let codes = rc.codes();
-                    let remap = rc.remap();
-                    let mut lacc: Vec<f64> = remap.iter().map(|&g| marginals[g as usize]).collect();
-                    let lw: Vec<f64> = remap.iter().map(|&g| wtab[g as usize]).collect();
-                    for pos in run.positions.clone() {
-                        let local = view.row_at(pos) as usize - start;
-                        let code = codes.at(local) as usize;
-                        let w = lw[code];
-                        lacc[code] += view.weight_at(pos) * (w - w.min(covered_weight[pos]));
-                    }
-                    for (l, &g) in remap.iter().enumerate() {
-                        marginals[g as usize] = lacc[l];
-                    }
-                }
-            }
-            (fi, marginals)
-        });
-    }
-    Ok(accs.into_iter().map(|(_, m)| m).collect())
-}
-
-/// One pass-j group's accumulator, threaded through the shard runs.
-enum GroupAcc {
-    Dense {
-        counts: Vec<f64>,
-        marginals: Vec<f64>,
-        wvec: Vec<f64>,
-    },
-    Sparse {
-        acc: Vec<(f64, f64)>,
-    },
-}
-
-/// Counts one level's candidate groups over the sharded view, writing
-/// per-candidate stats into `scratch.cstats`. Groups run in parallel; each
-/// group's accumulator sees the runs sequentially in order, so the float
-/// operation order matches the monolithic [`crate::kernel`] `count_level`.
-/// Raw shards premultiply each group column's `remap` by its stride
-/// (`lcell[l] = remap[l] * stride`, integers), so dense cell indices — and
-/// hence the accumulation sequence — are identical to the decoded scan's.
-fn count_level_sharded(
-    view: &ShardedView,
-    runs: &[ShardRun],
-    scratch: &mut SearchScratch,
-    cand_weights: &[f64],
-    covered_weight: &[f64],
-    threads: usize,
-) -> Result<(), TableError> {
-    let st = view.table();
-    let groups: &Vec<Group> = &scratch.groups;
-    let mut accs: Vec<(usize, GroupAcc)> = groups
-        .iter()
-        .enumerate()
-        .map(|(gi, g)| {
-            let acc = if g.is_dense() {
-                let mut wvec = vec![0.0f64; g.cells];
-                for &(cell, ci) in &g.cand_cells {
-                    wvec[cell] = cand_weights[ci as usize];
-                }
-                GroupAcc::Dense {
-                    counts: vec![0.0; g.cells],
-                    marginals: vec![0.0; g.cells],
-                    wvec,
-                }
-            } else {
-                GroupAcc::Sparse {
-                    acc: vec![(0.0, 0.0); g.order.len()],
-                }
-            };
-            (gi, acc)
-        })
-        .collect();
-
-    for run in runs {
-        let data = st.segment_data(run.shard)?;
-        accs = exec::parallel_map(threads, accs, |(gi, mut acc)| {
-            let g = &groups[gi];
-            count_group_run(view, run, &data, g, &mut acc, cand_weights, covered_weight);
-            (gi, acc)
-        });
-    }
-
-    let cstats = &mut scratch.cstats;
-    cstats.clear();
-    cstats.extend(cand_weights.iter().map(|&w| CandStat {
-        count: 0.0,
-        marginal: 0.0,
-        weight: w,
-    }));
-    for (gi, acc) in accs {
-        let g = &groups[gi];
-        match acc {
-            GroupAcc::Dense {
-                counts, marginals, ..
-            } => {
-                for &(cell, ci) in &g.cand_cells {
-                    let s = &mut cstats[ci as usize];
-                    s.count = counts[cell];
-                    s.marginal = marginals[cell];
-                }
-            }
-            GroupAcc::Sparse { acc } => {
-                for (&ci, (c, m)) in g.order.iter().zip(acc) {
-                    let s = &mut cstats[ci as usize];
-                    s.count = c;
-                    s.marginal = m;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// One group × one run of the pass-j count, over either segment form.
-fn count_group_run(
-    view: &ShardedView,
-    run: &ShardRun,
-    data: &SegmentData,
-    g: &Group,
-    acc: &mut GroupAcc,
-    cand_weights: &[f64],
-    covered_weight: &[f64],
-) {
-    match acc {
-        GroupAcc::Dense {
-            counts,
-            marginals,
-            wvec,
-        } => match data {
-            SegmentData::Decoded(seg) => {
-                for pos in run.positions.clone() {
-                    let local = seg.local(view.row_at(pos));
-                    let mut cell = 0usize;
-                    for (&c, &stride) in g.cols.iter().zip(&g.strides) {
-                        cell += seg.col(c)[local] as usize * stride;
-                    }
-                    let w_t = view.weight_at(pos);
-                    let w = wvec[cell];
-                    counts[cell] += w_t;
-                    marginals[cell] += w_t * (w - w.min(covered_weight[pos]));
-                }
-            }
-            SegmentData::Raw(raw) => {
-                let start = raw.span().start;
-                // Premultiplied per-column cell contributions in local code
-                // space: cell = Σ remap[l] * stride, computed once per
-                // (shard-local code) instead of once per row.
-                let lcells: Vec<Vec<usize>> = g
-                    .cols
-                    .iter()
-                    .zip(&g.strides)
-                    .map(|(&c, &stride)| {
-                        raw.col(c)
-                            .remap()
-                            .iter()
-                            .map(|&gcode| gcode as usize * stride)
-                            .collect()
-                    })
-                    .collect();
-                let lcodes: Vec<&LocalCodes> = g.cols.iter().map(|&c| raw.col(c).codes()).collect();
-                for pos in run.positions.clone() {
-                    let local = view.row_at(pos) as usize - start;
-                    let mut cell = 0usize;
-                    for (lc, codes) in lcells.iter().zip(&lcodes) {
-                        cell += lc[codes.at(local) as usize];
-                    }
-                    let w_t = view.weight_at(pos);
-                    let w = wvec[cell];
-                    counts[cell] += w_t;
-                    marginals[cell] += w_t * (w - w.min(covered_weight[pos]));
-                }
-            }
-        },
-        GroupAcc::Sparse { acc } => {
-            let mut wide: Vec<u32> = Vec::new();
-            match data {
-                SegmentData::Decoded(seg) => {
-                    for pos in run.positions.clone() {
-                        let local = seg.local(view.row_at(pos));
-                        if let Some(p) = g.probe(&mut wide, |gc| seg.col(g.cols[gc])[local]) {
-                            let w = cand_weights[g.order[p] as usize];
-                            let w_t = view.weight_at(pos);
-                            let slot = &mut acc[p];
-                            slot.0 += w_t;
-                            slot.1 += w_t * (w - w.min(covered_weight[pos]));
-                        }
-                    }
-                }
-                SegmentData::Raw(raw) => {
-                    let start = raw.span().start;
-                    let cols_raw: Vec<&RawColumn> = g.cols.iter().map(|&c| raw.col(c)).collect();
-                    for pos in run.positions.clone() {
-                        let local = view.row_at(pos) as usize - start;
-                        if let Some(p) = g.probe(&mut wide, |gc| cols_raw[gc].global_at(local)) {
-                            let w = cand_weights[g.order[p] as usize];
-                            let w_t = view.weight_at(pos);
-                            let slot = &mut acc[p];
-                            slot.0 += w_t;
-                            slot.1 += w_t * (w - w.min(covered_weight[pos]));
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Drill-downs
-// ---------------------------------------------------------------------------
-
-/// Rule drill-down over a sharded view — twin of [`crate::drill_down_with`].
-pub fn drill_down_sharded(brs: &Brs<'_>, view: &ShardedView, base: &Rule, k: usize) -> BrsResult {
-    let filtered = filter_to_rule_sharded(view, base);
-    brs.run_sharded_with_base(&filtered, Some(base.clone()), k)
-}
-
-/// Star drill-down over a sharded view — twin of
-/// [`crate::star_drill_down_with`].
-///
-/// # Panics
-/// If `base` already instantiates `column`.
-pub fn star_drill_down_sharded(
-    brs: &Brs<'_>,
-    view: &ShardedView,
-    base: &Rule,
-    column: usize,
-    k: usize,
-) -> BrsResult {
-    assert!(
-        base.is_star(column),
-        "star drill-down requires a ? in the clicked column"
-    );
-    let filtered = filter_to_rule_sharded(view, base);
-    let wrapped = RequireColumn::new(brs.weight_fn(), column);
-    let inner = Brs::new(&wrapped).inherit_config(brs);
-    inner.run_sharded_with_base(&filtered, Some(base.clone()), k)
-}
-
-/// The tail shared by the sharded BRS runner: display sort + scoring.
-pub(crate) fn finish_sharded_brs(
-    view: &ShardedView,
-    weight: &dyn WeightFn,
-    selection: Vec<Rule>,
-    stats: SearchStats,
-) -> BrsResult {
-    let display = sort_by_weight_desc_sharded(view.table(), weight, &selection);
-    let scored = score_list_sharded(view, weight, &display);
-    BrsResult {
-        rules: scored
-            .rules
-            .into_iter()
-            .map(|rs| ScoredRule {
-                rule: rs.rule,
-                weight: rs.weight,
-                count: rs.count,
-                mcount: rs.mcount,
-            })
-            .collect(),
-        selection_order: selection,
-        total_score: scored.total,
-        stats,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{covered_rows, find_best_marginal_rule, SizeWeight};
-    use sdd_table::{Schema, ShardConfig, Table, TableView};
+    use crate::covered_rows;
+    use sdd_table::{Schema, ShardConfig, Table};
 
     fn t() -> Table {
         let mut rows: Vec<[&str; 3]> = Vec::new();
@@ -1220,7 +296,8 @@ mod tests {
     }
 
     /// A spilling layout with a budget of 1: every scan runs against the
-    /// raw (pushdown) path except the single resident shard.
+    /// transient (pushdown) path, since nothing loads a segment into the
+    /// cache.
     fn spilled(table: &Table, shards: usize) -> Arc<ShardedTable> {
         Arc::new(
             ShardedTable::from_table(
@@ -1242,7 +319,11 @@ mod tests {
             let expect = covered_rows(&table, &rule);
             for shards in 1..=5 {
                 let st = sharded(&table, shards);
-                assert_eq!(covered_rows_sharded(&st, &rule), expect, "{shards} shards");
+                assert_eq!(
+                    try_covered_rows_sharded(&st, &rule).unwrap(),
+                    expect,
+                    "{shards} shards"
+                );
             }
         }
     }
@@ -1312,161 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn covered_positions_on_subset_views() {
-        let table = t();
-        let st = sharded(&table, 3);
-        let view = ShardedView::with_rows(st, vec![9, 0, 4, 8, 1]);
-        let rule = Rule::from_pairs(&table, &[("A", "a")]).unwrap();
-        // Rows 0 (a), 4 (a), 1 (a) are covered → positions 1, 2, 4.
-        assert_eq!(covered_positions_sharded(&view, &rule), vec![1, 2, 4]);
-    }
-
-    #[test]
-    fn covered_positions_on_subset_views_spilled() {
-        let table = t();
-        let st = spilled(&table, 3);
-        let view = ShardedView::with_rows(st, vec![9, 0, 4, 8, 1]);
-        let rule = Rule::from_pairs(&table, &[("A", "a")]).unwrap();
-        assert_eq!(
-            try_covered_positions_sharded(&view, &rule).unwrap(),
-            vec![1, 2, 4]
-        );
-    }
-
-    #[test]
-    fn search_matches_monolithic_bitwise() {
-        let table = t();
-        let view = table.view();
-        let cov: Vec<f64> = (0..view.len()).map(|i| (i % 3) as f64 * 0.7).collect();
-        let mut opts = SearchOptions::new(2.0);
-        opts.parallel = false;
-        let mono = find_best_marginal_rule(&view, &SizeWeight, &cov, &opts).unwrap();
-        for shards in 1..=6 {
-            let st = sharded(&table, shards);
-            let sv = ShardedView::all(st);
-            let mut scratch = SearchScratch::new();
-            let got = find_best_marginal_rule_sharded(&sv, &SizeWeight, &cov, &opts, &mut scratch)
-                .unwrap();
-            assert_eq!(got.rule, mono.rule, "{shards} shards");
-            assert_eq!(
-                got.marginal_value.to_bits(),
-                mono.marginal_value.to_bits(),
-                "{shards} shards"
-            );
-            assert_eq!(got.count.to_bits(), mono.count.to_bits());
-            assert_eq!(got.stats, mono.stats, "work counters must match too");
-        }
-    }
-
-    #[test]
-    fn pushdown_search_matches_monolithic_bitwise_on_spilled_storage() {
-        let table = t();
-        let view = table.view();
-        let cov: Vec<f64> = (0..view.len()).map(|i| (i % 3) as f64 * 0.7).collect();
-        let mut opts = SearchOptions::new(2.0);
-        opts.parallel = false;
-        let mono = find_best_marginal_rule(&view, &SizeWeight, &cov, &opts).unwrap();
-        for shards in 1..=6 {
-            let st = spilled(&table, shards);
-            let sv = ShardedView::all(st);
-            let mut scratch = SearchScratch::new();
-            let got =
-                try_find_best_marginal_rule_sharded(&sv, &SizeWeight, &cov, &opts, &mut scratch)
-                    .unwrap()
-                    .unwrap();
-            assert_eq!(got.rule, mono.rule, "{shards} spilled shards");
-            assert_eq!(got.marginal_value.to_bits(), mono.marginal_value.to_bits());
-            assert_eq!(got.count.to_bits(), mono.count.to_bits());
-            assert_eq!(got.stats, mono.stats);
-        }
-    }
-
-    #[test]
-    fn pushdown_weighted_subset_search_matches_monolithic_bitwise() {
-        let table = t();
-        let rows: Vec<RowId> = vec![0, 2, 3, 5, 6, 7, 9];
-        let weights: Vec<f64> = rows.iter().map(|&r| 0.25 + r as f64 * 0.5).collect();
-        let cov: Vec<f64> = rows.iter().map(|&r| (r % 4) as f64 * 0.3).collect();
-        let mview = TableView::with_rows_and_weights(&table, rows.clone(), weights.clone());
-        let mut opts = SearchOptions::new(4.0);
-        opts.parallel = false;
-        let mono = find_best_marginal_rule(&mview, &SizeWeight, &cov, &opts).unwrap();
-        for shards in [2, 3, 5] {
-            let st = spilled(&table, shards);
-            let sv = ShardedView::with_rows_and_weights(st, rows.clone(), weights.clone());
-            let mut scratch = SearchScratch::new();
-            let got =
-                try_find_best_marginal_rule_sharded(&sv, &SizeWeight, &cov, &opts, &mut scratch)
-                    .unwrap()
-                    .unwrap();
-            assert_eq!(got.rule, mono.rule, "{shards} spilled shards");
-            assert_eq!(got.marginal_value.to_bits(), mono.marginal_value.to_bits());
-            assert_eq!(got.count.to_bits(), mono.count.to_bits());
-        }
-    }
-
-    #[test]
-    fn brs_matches_monolithic_bitwise() {
-        let table = t();
-        let mono = Brs::new(&SizeWeight)
-            .with_max_weight(2.0)
-            .run(&table.view(), 3);
-        for shards in [1, 2, 4, 7] {
-            let st = sharded(&table, shards);
-            let got = Brs::new(&SizeWeight)
-                .with_max_weight(2.0)
-                .with_parallel(false)
-                .run_sharded(&ShardedView::all(st), 3);
-            assert_eq!(got.rules_only(), mono.rules_only(), "{shards} shards");
-            assert_eq!(got.total_score.to_bits(), mono.total_score.to_bits());
-            for (a, b) in got.rules.iter().zip(&mono.rules) {
-                assert_eq!(a.count.to_bits(), b.count.to_bits());
-                assert_eq!(a.mcount.to_bits(), b.mcount.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn brs_matches_monolithic_bitwise_on_spilled_storage() {
-        let table = t();
-        let mono = Brs::new(&SizeWeight)
-            .with_max_weight(2.0)
-            .run(&table.view(), 3);
-        for shards in [2, 4, 7] {
-            let st = spilled(&table, shards);
-            let got = Brs::new(&SizeWeight)
-                .with_max_weight(2.0)
-                .with_parallel(false)
-                .run_sharded(&ShardedView::all(st), 3);
-            assert_eq!(
-                got.rules_only(),
-                mono.rules_only(),
-                "{shards} spilled shards"
-            );
-            assert_eq!(got.total_score.to_bits(), mono.total_score.to_bits());
-            for (a, b) in got.rules.iter().zip(&mono.rules) {
-                assert_eq!(a.count.to_bits(), b.count.to_bits());
-                assert_eq!(a.mcount.to_bits(), b.mcount.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn drill_down_filters_to_base() {
-        let table = t();
-        let st = sharded(&table, 4);
-        let base = Rule::from_pairs(&table, &[("A", "a")]).unwrap();
-        let mono = crate::drill_down(&table.view(), &SizeWeight, &base, 2);
-        let got = drill_down_sharded(
-            &Brs::new(&SizeWeight).with_parallel(false),
-            &ShardedView::all(st),
-            &base,
-            2,
-        );
-        assert_eq!(got.rules_only(), mono.rules_only());
-    }
-
-    #[test]
     fn count_rules_matches_refresh_semantics() {
         let table = t();
         for st in [sharded(&table, 3), spilled(&table, 3)] {
@@ -1496,15 +422,6 @@ mod tests {
             Err(TableError::Corrupt(_))
         ));
         assert!(try_count_rules_sharded(&st, std::slice::from_ref(&rule)).is_err());
-        let sv = ShardedView::all(st.clone());
-        let mut scratch = SearchScratch::new();
-        let mut opts = SearchOptions::new(2.0);
-        opts.parallel = false;
-        let cov = vec![0.0; sv.len()];
-        assert!(
-            try_find_best_marginal_rule_sharded(&sv, &SizeWeight, &cov, &opts, &mut scratch)
-                .is_err()
-        );
         // Restore: scans recover (errors are not sticky).
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(

@@ -33,9 +33,11 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 /// Files whose floating-point accumulation loops D003 audits.
 pub const D003_FILES: &[&str] = &["crates/core/src/shard.rs", "crates/core/src/kernel.rs"];
 
-/// Files P001 keeps panic-free: spill I/O, plus the shared result-cache
-/// and prediction paths (a panic there would poison a lock every session
-/// shares — an accelerator must never be able to take the server down),
+/// Files P001 keeps panic-free: spill I/O (the table's spill tier and the
+/// core scans over it, reachable from every Create and refresh on
+/// segmented storage), plus the shared result-cache and prediction paths
+/// (a panic there would poison a lock every session shares — an
+/// accelerator must never be able to take the server down),
 /// plus the HTTP front-end's parsing, auth, and metrics paths (fed raw
 /// bytes from untrusted clients — a panic is a remote crash), plus the
 /// live-table append/maintenance paths (the engine's request dispatch and
@@ -44,6 +46,7 @@ pub const D003_FILES: &[&str] = &["crates/core/src/shard.rs", "crates/core/src/k
 /// session between epochs).
 pub const P001_FILES: &[&str] = &[
     "crates/table/src/shard.rs",
+    "crates/core/src/shard.rs",
     "crates/core/src/cachekey.rs",
     "crates/explorer/src/cache.rs",
     "crates/server/src/cache.rs",

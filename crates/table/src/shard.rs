@@ -17,11 +17,11 @@
 //!   per-column offset table in the header lets readers fetch individual
 //!   columns with positioned range reads. Loading remaps local → global, so
 //!   a spill → load round-trip reproduces the resident segment bit-for-bit.
-//!   The spill coding is also directly scannable **without** decoding: a
-//!   [`RawSegment`] exposes each column's `remap` and packed [`LocalCodes`],
-//!   and `sdd-core`'s pushdown scans translate predicates into local code
-//!   space and run over the packed bytes (see [`SegmentData`],
-//!   [`ShardedTable::segment_data`], [`ShardedTable::read_columns`]).
+//!   The spill coding is also directly scannable **without** decoding:
+//!   [`ShardedTable::read_columns`] range-reads single columns as
+//!   [`RawColumn`]s (each column's `remap` plus packed [`LocalCodes`]), and
+//!   `sdd-core`'s pushdown scans translate predicates into local code space
+//!   and run over the packed bytes.
 //!
 //! Residency is governed by a **resident-shard budget**: at most that many
 //! segments are cached at once (segments are immutable, so eviction can
@@ -45,13 +45,13 @@
 //! ## Determinism contract
 //!
 //! The shard layout partitions `[0, n_rows)` in order, so iterating shards
-//! in index order visits rows in exactly the monolithic row order. Every
-//! sharded compute path in `sdd-core` exploits this: scans accumulate
-//! shard-after-shard into shared accumulators (identical float operation
-//! order → bit-identical results to the monolithic path, for **any** shard
-//! count and **any** resident budget), and integer partials may additionally
-//! fan out per shard because integer addition is associative. Eviction and
-//! reload affect only *when* bytes are in memory, never which bytes.
+//! in index order visits rows in exactly the monolithic row order. The
+//! sharded scans in `sdd-core` (coverage and exact counts) exploit this:
+//! per-shard hit lists concatenate into the monolithic ascending row list,
+//! and per-shard integer counts add exactly, so results are bit-identical
+//! to the monolithic path for **any** shard count and **any** resident
+//! budget. Eviction and reload affect only *when* bytes are in memory,
+//! never which bytes.
 //!
 //! Measure columns stay fully resident inside the [`ShardedTable`] (8 bytes
 //! per row per measure); only the dictionary-coded categorical columns
@@ -216,8 +216,9 @@ impl LocalCodes {
 
 /// One spilled column in its on-disk coding: the `remap` array (local →
 /// global codes, in first-appearance order within the shard) plus the rows
-/// as packed [`LocalCodes`]. This is the raw-segment access path the
-/// spill-tier predicate pushdown scans — no global-code materialization.
+/// as packed [`LocalCodes`], as [`ShardedTable::read_columns`] returns it.
+/// The spill-tier predicate pushdown scans this form directly — no
+/// global-code materialization.
 ///
 /// Loaded columns are validated once (every local code `< remap.len()`),
 /// so `remap[code as usize]` indexing never faults afterwards.
@@ -240,11 +241,6 @@ impl RawColumn {
         &self.codes
     }
 
-    /// Shard-local cardinality (`remap().len()`).
-    pub fn cardinality(&self) -> usize {
-        self.remap.len()
-    }
-
     /// The local code for global code `g`, or `None` when `g` never occurs
     /// in this shard — the pushdown zero-count test: a predicate whose
     /// value is absent from `remap` covers no row of the shard, so the
@@ -260,86 +256,18 @@ impl RawColumn {
     }
 }
 
-/// One shard in spill coding: the global row span plus every column as a
-/// [`RawColumn`]. The raw twin of [`ShardSegment`].
-#[derive(Debug)]
-pub struct RawSegment {
-    span: Range<usize>,
-    cols: Vec<RawColumn>,
-}
-
-impl RawSegment {
-    /// The global row range `[start, end)` this segment holds.
-    pub fn span(&self) -> Range<usize> {
-        self.span.clone()
-    }
-
-    /// Column `c` in spill coding.
-    pub fn col(&self, c: usize) -> &RawColumn {
-        &self.cols[c]
-    }
-
-    /// Maps a global row id inside [`RawSegment::span`] to the local row
-    /// index.
-    #[inline]
-    pub fn local(&self, row: RowId) -> usize {
-        debug_assert!(self.span.contains(&(row as usize)), "row outside span");
-        row as usize - self.span.start
-    }
-}
-
-/// A shard's data in whichever form the residency cache holds — decoded
-/// (global codes, a small [`Table`]) or raw (spill coding). Scans that can
-/// run over either form ask for this via
-/// [`ShardedTable::segment_data`] and never force a decode.
-#[derive(Debug, Clone)]
-pub enum SegmentData {
-    /// The decoded, global-code resident form.
-    Decoded(Arc<ShardSegment>),
-    /// The spill-coded raw form (local codes + remap, no `Table`).
-    Raw(Arc<RawSegment>),
-}
-
-impl SegmentData {
-    /// The global row span.
-    pub fn span(&self) -> Range<usize> {
-        match self {
-            SegmentData::Decoded(s) => s.span(),
-            SegmentData::Raw(r) => r.span(),
-        }
-    }
-}
-
-/// The cached form of one shard. A raw entry is *upgraded* in place to the
-/// decoded form when a caller needs a [`ShardSegment`]; both forms count
-/// equally against the resident budget and pin the same way (the cache's
-/// own `Arc` is the baseline count of 1).
-#[derive(Debug)]
-enum CachedSeg {
-    Decoded(Arc<ShardSegment>),
-    Raw(Arc<RawSegment>),
-}
-
-impl CachedSeg {
-    fn is_pinned(&self) -> bool {
-        match self {
-            CachedSeg::Decoded(a) => Arc::strong_count(a) > 1,
-            CachedSeg::Raw(a) => Arc::strong_count(a) > 1,
-        }
-    }
-
-    fn data(&self) -> SegmentData {
-        match self {
-            CachedSeg::Decoded(a) => SegmentData::Decoded(Arc::clone(a)),
-            CachedSeg::Raw(a) => SegmentData::Raw(Arc::clone(a)),
-        }
-    }
-}
-
+/// One resident segment. The cache's own `Arc` is the baseline count of
+/// 1, so any further count is a caller's pin.
 #[derive(Debug)]
 struct CacheEntry {
-    seg: CachedSeg,
+    seg: Arc<ShardSegment>,
     last_used: u64,
+}
+
+impl CacheEntry {
+    fn is_pinned(&self) -> bool {
+        Arc::strong_count(&self.seg) > 1
+    }
 }
 
 #[derive(Debug, Default)]
@@ -387,7 +315,7 @@ impl Cache {
             let unpinned = self
                 .resident
                 .iter()
-                .filter(|(&k, e)| spill[k].is_some() && !e.seg.is_pinned());
+                .filter(|(&k, e)| spill[k].is_some() && !e.is_pinned());
             let victim = match policy {
                 Residency::Lru => unpinned.min_by_key(|(_, e)| e.last_used),
                 Residency::Sweep => unpinned.max_by_key(|(_, e)| e.last_used),
@@ -518,10 +446,10 @@ impl ShardedTable {
                 cache.resident.insert(
                     i,
                     CacheEntry {
-                        seg: CachedSeg::Decoded(Arc::new(ShardSegment {
+                        seg: Arc::new(ShardSegment {
                             span: span.clone(),
                             table: segment_table(&header, &measures, span, cols),
-                        })),
+                        }),
                         last_used: cache.clock,
                     },
                 );
@@ -600,16 +528,14 @@ impl ShardedTable {
         self.cache.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The segment for shard `i` in decoded (global-code) form, loading —
-    /// or upgrading a cached raw entry — as needed.
+    /// The segment for shard `i` in decoded (global-code) form, loading it
+    /// from the spill file on a miss.
     ///
     /// The cache lock is **not** held across the disk read or the
     /// local→global decode: a cache hit on one shard never waits behind
     /// another thread's in-flight load. Two threads missing the same shard
     /// may both read the file — segments are immutable, so the loser's copy
     /// is simply dropped (both reads count in [`ShardedTable::loads`]).
-    /// Upgrading a cached [`SegmentData::Raw`] entry re-codes in memory and
-    /// does **not** count as a load.
     ///
     /// # Errors
     ///
@@ -617,50 +543,24 @@ impl ShardedTable {
     /// magic, truncation, shape mismatch, out-of-range local code),
     /// [`TableError::Io`] when reading it fails.
     pub fn try_segment(&self, i: usize) -> Result<Arc<ShardSegment>, TableError> {
-        let span = self.spans[i].clone();
-        let mut raw_hit: Option<Arc<RawSegment>> = None;
-        {
-            let mut cache = self.cache();
-            cache.clock += 1;
-            let clock = cache.clock;
-            let mut decoded_hit: Option<Arc<ShardSegment>> = None;
-            if let Some(entry) = cache.resident.get_mut(&i) {
-                entry.last_used = clock;
-                match &entry.seg {
-                    CachedSeg::Decoded(a) => decoded_hit = Some(Arc::clone(a)),
-                    CachedSeg::Raw(a) => raw_hit = Some(Arc::clone(a)),
-                }
-            }
-            if let Some(seg) = decoded_hit {
-                // Hits reclaim too: a burst of concurrent pins can grow the
-                // cache past the budget, and the released segments would
-                // otherwise linger as permanent hits (the budget never
-                // re-honored, eviction never firing again). The clone above
-                // pins `i`, so the pass cannot drop the returned segment.
-                cache.evict_over_budget(self.resident_budget, self.residency, &self.spill);
-                return Ok(seg);
-            }
+        if let Some(seg) = self.cached_data(i) {
+            return Ok(seg);
         }
-        // Miss (or raw upgrade): read + decode outside the lock.
-        let cols: Vec<Vec<u32>> = match &raw_hit {
-            Some(raw) => globalize(&raw.cols),
-            None => {
-                let Some(path) = self.spill[i].as_ref() else {
-                    // Unreachable by construction: a shard is either resident
-                    // or spilled. Surface as an error, not a panic.
-                    debug_assert!(false, "non-resident shard {i} has no spill file");
-                    return Err(TableError::Io(format!(
-                        "shard {i} is neither resident nor spilled"
-                    )));
-                };
-                globalize(&read_raw_segment(
-                    path.path(),
-                    self.n_columns(),
-                    span.len(),
-                )?)
-            }
+        // Miss: read + decode outside the lock.
+        let span = self.spans[i].clone();
+        let Some(path) = self.spill[i].as_ref() else {
+            // Unreachable by construction: a shard is either resident or
+            // spilled. Surface as an error, not a panic.
+            debug_assert!(false, "non-resident shard {i} has no spill file");
+            return Err(TableError::Io(format!(
+                "shard {i} is neither resident nor spilled"
+            )));
         };
-        let from_disk = raw_hit.is_none();
+        let cols = globalize(&read_raw_segment(
+            path.path(),
+            self.n_columns(),
+            span.len(),
+        )?);
         let seg = Arc::new(ShardSegment {
             span: span.clone(),
             table: segment_table(&self.header, &self.measures, &span, cols),
@@ -669,29 +569,18 @@ impl ShardedTable {
         let mut cache = self.cache();
         cache.clock += 1;
         let clock = cache.clock;
-        if from_disk {
-            cache.loads += 1;
-        }
+        cache.loads += 1;
         let seg = match cache.resident.get_mut(&i) {
+            // A concurrent loader won the race; keep its copy (ours drops).
             Some(entry) => {
                 entry.last_used = clock;
-                match &entry.seg {
-                    // A concurrent loader won the race; keep its copy (ours
-                    // drops).
-                    CachedSeg::Decoded(other) => Arc::clone(other),
-                    // Upgrade the raw entry in place; the packed form drops
-                    // when the last raw pin releases.
-                    CachedSeg::Raw(_) => {
-                        entry.seg = CachedSeg::Decoded(Arc::clone(&seg));
-                        seg
-                    }
-                }
+                Arc::clone(&entry.seg)
             }
             None => {
                 cache.resident.insert(
                     i,
                     CacheEntry {
-                        seg: CachedSeg::Decoded(Arc::clone(&seg)),
+                        seg: Arc::clone(&seg),
                         last_used: clock,
                     },
                 );
@@ -705,69 +594,25 @@ impl ShardedTable {
         Ok(seg)
     }
 
-    /// The shard's data in **whichever form the cache holds**, loading the
-    /// raw (spill-coded) form on a miss — never forcing a local→global
-    /// decode. This is the pushdown scan entry point: a miss costs one file
-    /// read into packed codes; a later [`ShardedTable::try_segment`] on the
-    /// same shard upgrades the entry in place.
+    /// The shard's cached segment, or `None` on a miss — never touches
+    /// disk. Lets a scan use whatever is already resident before deciding
+    /// how to read.
     ///
-    /// # Errors
-    ///
-    /// As [`ShardedTable::try_segment`].
-    pub fn segment_data(&self, i: usize) -> Result<SegmentData, TableError> {
-        if let Some(d) = self.cached_data(i) {
-            return Ok(d);
-        }
-        let span = self.spans[i].clone();
-        let Some(path) = self.spill[i].as_ref() else {
-            debug_assert!(false, "non-resident shard {i} has no spill file");
-            return Err(TableError::Io(format!(
-                "shard {i} is neither resident nor spilled"
-            )));
-        };
-        let cols = read_raw_segment(path.path(), self.n_columns(), span.len())?;
-        let raw = Arc::new(RawSegment { span, cols });
-
+    /// A hit reclaims too: a burst of concurrent pins can grow the cache
+    /// past the budget, and the released segments would otherwise linger as
+    /// permanent hits (the budget never re-honored, eviction never firing
+    /// again). The returned clone pins `i`, so the pass cannot drop it.
+    pub fn cached_data(&self, i: usize) -> Option<Arc<ShardSegment>> {
         let mut cache = self.cache();
         cache.clock += 1;
         let clock = cache.clock;
-        cache.loads += 1;
-        let data = match cache.resident.get_mut(&i) {
-            // A concurrent loader won the race; use whatever form it cached.
-            Some(entry) => {
-                entry.last_used = clock;
-                entry.seg.data()
-            }
-            None => {
-                cache.resident.insert(
-                    i,
-                    CacheEntry {
-                        seg: CachedSeg::Raw(Arc::clone(&raw)),
-                        last_used: clock,
-                    },
-                );
-                SegmentData::Raw(raw)
-            }
-        };
-        cache.note_size();
-        cache.evict_over_budget(self.resident_budget, self.residency, &self.spill);
-        Ok(data)
-    }
-
-    /// The shard's cached data in whichever form, or `None` on a miss —
-    /// never touches disk. Lets a scan prefer whatever is already resident
-    /// before deciding how to read.
-    pub fn cached_data(&self, i: usize) -> Option<SegmentData> {
-        let mut cache = self.cache();
-        cache.clock += 1;
-        let clock = cache.clock;
-        let data = {
+        let seg = {
             let entry = cache.resident.get_mut(&i)?;
             entry.last_used = clock;
-            entry.seg.data()
+            Arc::clone(&entry.seg)
         };
         cache.evict_over_budget(self.resident_budget, self.residency, &self.spill);
-        Some(data)
+        Some(seg)
     }
 
     /// Range-reads **only** `cols` of shard `i`'s spill file (one `pread`
@@ -880,7 +725,7 @@ impl ShardedTable {
         self.cache()
             .resident
             .values()
-            .filter(|e| e.seg.is_pinned())
+            .filter(|e| e.is_pinned())
             .count()
     }
 
@@ -909,7 +754,7 @@ impl ShardedTable {
             let pinned = cache
                 .resident
                 .iter()
-                .filter(|(&i, e)| e.seg.is_pinned() || self.spill[i].is_none())
+                .filter(|(&i, e)| e.is_pinned() || self.spill[i].is_none())
                 .count();
             if self.resident_budget == 0 || cache.resident.len() <= self.resident_budget + pinned {
                 return (cache.resident.len(), pinned);
@@ -948,7 +793,7 @@ impl ShardedTable {
         let mut cache = self.cache();
         let mut dropped = 0u64;
         cache.resident.retain(|&i, e| {
-            let keep = self.spill[i].is_none() || e.seg.is_pinned();
+            let keep = self.spill[i].is_none() || e.is_pinned();
             if !keep {
                 dropped += 1;
             }
@@ -1225,10 +1070,10 @@ impl ShardBuilder {
                 cache.resident.insert(
                     i,
                     CacheEntry {
-                        seg: CachedSeg::Decoded(Arc::new(ShardSegment {
+                        seg: Arc::new(ShardSegment {
                             span: span.clone(),
                             table: segment_table(&header, &measures, span, cols),
-                        })),
+                        }),
                         last_used: cache.clock,
                     },
                 );
@@ -1718,10 +1563,10 @@ impl LiveTable {
             cache.resident.insert(
                 i,
                 CacheEntry {
-                    seg: CachedSeg::Decoded(Arc::new(ShardSegment {
+                    seg: Arc::new(ShardSegment {
                         span: spans[i].clone(),
                         table: segment_table(&header, &measures, &spans[i], cols),
-                    })),
+                    }),
                     last_used: cache.clock,
                 },
             );
@@ -2086,175 +1931,6 @@ fn globalize(cols: &[RawColumn]) -> Vec<Vec<u32>> {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedView
-// ---------------------------------------------------------------------------
-
-/// One maximal run of consecutive view positions whose rows live in a
-/// single shard — the unit sharded scans iterate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardRun {
-    /// Shard index.
-    pub shard: usize,
-    /// Global view positions `[start, end)` of the run.
-    pub positions: Range<usize>,
-}
-
-/// An owned, `Send + Sync` view over a [`ShardedTable`]'s rows — the
-/// sharded counterpart of [`crate::OwnedTableView`], presenting the same
-/// positional surface (`len` / `row_at` / `weight_at` / `row_ids` /
-/// `weights` / `chunks`).
-///
-/// Chunk boundaries come from [`chunk_spans`] of the view length alone, so
-/// [`ShardedView::chunks`] is independent of the shard layout — the same
-/// chunk plan the monolithic view produces.
-#[derive(Debug, Clone)]
-pub struct ShardedView {
-    table: Arc<ShardedTable>,
-    /// `None` = all rows in order (position `i` *is* row `i`).
-    rows: Option<Vec<RowId>>,
-    weights: Option<Vec<f64>>,
-}
-
-impl ShardedView {
-    /// A view over every row, unit weights.
-    pub fn all(table: Arc<ShardedTable>) -> Self {
-        Self {
-            table,
-            rows: None,
-            weights: None,
-        }
-    }
-
-    /// A view over an explicit row subset, unit weights.
-    pub fn with_rows(table: Arc<ShardedTable>, rows: Vec<RowId>) -> Self {
-        debug_assert!(rows.iter().all(|&r| (r as usize) < table.n_rows()));
-        Self {
-            table,
-            rows: Some(rows),
-            weights: None,
-        }
-    }
-
-    /// A view over an explicit row subset with per-tuple weights. Panics if
-    /// lengths differ.
-    pub fn with_rows_and_weights(
-        table: Arc<ShardedTable>,
-        rows: Vec<RowId>,
-        weights: Vec<f64>,
-    ) -> Self {
-        assert_eq!(rows.len(), weights.len(), "rows/weights length mismatch");
-        debug_assert!(rows.iter().all(|&r| (r as usize) < table.n_rows()));
-        Self {
-            table,
-            rows: Some(rows),
-            weights: Some(weights),
-        }
-    }
-
-    /// The underlying sharded table.
-    pub fn table(&self) -> &Arc<ShardedTable> {
-        &self.table
-    }
-
-    /// Number of (row, weight) entries in the view.
-    pub fn len(&self) -> usize {
-        match &self.rows {
-            None => self.table.n_rows(),
-            Some(v) => v.len(),
-        }
-    }
-
-    /// True if the view holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The row id at position `i`.
-    #[inline]
-    pub fn row_at(&self, i: usize) -> RowId {
-        match &self.rows {
-            None => i as RowId,
-            Some(v) => v[i],
-        }
-    }
-
-    /// The weight at position `i`.
-    #[inline]
-    pub fn weight_at(&self, i: usize) -> f64 {
-        match &self.weights {
-            Some(w) => w[i],
-            None => 1.0,
-        }
-    }
-
-    /// Sum of all weights.
-    pub fn total_weight(&self) -> f64 {
-        match &self.weights {
-            Some(w) => w.iter().sum(),
-            None => self.len() as f64,
-        }
-    }
-
-    /// The explicit row-id slice, or `None` when the view covers all rows
-    /// in order.
-    #[inline]
-    pub fn row_ids(&self) -> Option<&[RowId]> {
-        self.rows.as_deref()
-    }
-
-    /// The per-tuple weight slice, or `None` for unit weights.
-    #[inline]
-    pub fn weights(&self) -> Option<&[f64]> {
-        self.weights.as_deref()
-    }
-
-    /// Splits the view's **positions** into at most `max_chunks` spans via
-    /// [`chunk_spans`] — a pure function of `len` and `max_chunks`,
-    /// independent of the shard layout (asserted by the substrate property
-    /// suite).
-    pub fn chunks(&self, max_chunks: usize) -> Vec<Range<usize>> {
-        chunk_spans(self.len(), max_chunks)
-    }
-
-    /// The view's positions grouped into maximal per-shard runs, in
-    /// position order. For an all-rows view this is exactly one run per
-    /// non-empty shard; for subsets, consecutive positions sharing a shard
-    /// coalesce. Iterating runs in order visits positions `0..len` exactly
-    /// once, in order.
-    pub fn shard_runs(&self) -> Vec<ShardRun> {
-        match &self.rows {
-            None => self
-                .table
-                .spans()
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.is_empty())
-                .map(|(shard, s)| ShardRun {
-                    shard,
-                    positions: s.clone(),
-                })
-                .collect(),
-            Some(rows) => {
-                let mut runs: Vec<ShardRun> = Vec::new();
-                for (pos, &row) in rows.iter().enumerate() {
-                    let shard = self.table.shard_of_row(row);
-                    match runs.last_mut() {
-                        Some(r) if r.shard == shard && r.positions.end == pos => {
-                            r.positions.end = pos + 1;
-                        }
-                        _ => runs.push(ShardRun {
-                            shard,
-                            positions: pos..pos + 1,
-                        }),
-                    }
-                }
-                runs
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // TableStore
 // ---------------------------------------------------------------------------
 
@@ -2526,43 +2202,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_view_chunks_follow_chunk_spans() {
-        let table = t(29);
-        let st = Arc::new(ShardedTable::from_table(&table, &ShardConfig::in_memory(7)).unwrap());
-        let v = ShardedView::all(st.clone());
-        assert_eq!(v.chunks(4), chunk_spans(29, 4));
-        let sub = ShardedView::with_rows(st, vec![3, 4, 5, 20]);
-        assert_eq!(sub.chunks(3), chunk_spans(4, 3));
-    }
-
-    #[test]
-    fn shard_runs_cover_positions_in_order() {
-        let table = t(30);
-        let st = Arc::new(ShardedTable::from_table(&table, &ShardConfig::in_memory(4)).unwrap());
-        let all = ShardedView::all(st.clone());
-        let runs = all.shard_runs();
-        assert_eq!(runs.len(), 4);
-        let mut pos = 0;
-        for r in &runs {
-            assert_eq!(r.positions.start, pos);
-            pos = r.positions.end;
-        }
-        assert_eq!(pos, 30);
-
-        let sub = ShardedView::with_rows(st, vec![0, 1, 29, 2, 8, 9]);
-        let runs = sub.shard_runs();
-        let mut pos = 0;
-        for r in &runs {
-            assert_eq!(r.positions.start, pos);
-            pos = r.positions.end;
-            for p in r.positions.clone() {
-                assert_eq!(sub.table().shard_of_row(sub.row_at(p)), r.shard);
-            }
-        }
-        assert_eq!(pos, sub.len());
-    }
-
-    #[test]
     fn resident_budget_requires_spill() {
         let table = t(10);
         let cfg = ShardConfig {
@@ -2579,9 +2218,7 @@ mod tests {
         let table = t(0);
         let st = ShardedTable::from_table(&table, &ShardConfig::in_memory(3)).unwrap();
         assert_eq!(st.n_rows(), 0);
-        let v = ShardedView::all(Arc::new(st));
-        assert!(v.is_empty());
-        assert!(v.shard_runs().is_empty());
+        assert!(st.spans().iter().all(|s| s.is_empty()));
     }
 
     #[test]
@@ -2786,19 +2423,14 @@ mod tests {
     }
 
     #[test]
-    fn segment_data_serves_raw_form_and_upgrades_in_place() {
+    fn read_columns_decode_the_spill_coding() {
         let table = t(50);
         let st =
             ShardedTable::from_table(&table, &ShardConfig::spilling(5, 2, spill_dir())).unwrap();
+        let all: Vec<usize> = (0..table.n_columns()).collect();
         for i in 0..st.n_shards() {
-            let data = st.segment_data(i).unwrap();
-            let raw = match &data {
-                SegmentData::Raw(r) => r,
-                SegmentData::Decoded(_) => panic!("cold miss must load the raw form"),
-            };
-            assert_eq!(raw.span(), st.spans()[i].clone());
-            for c in 0..table.n_columns() {
-                let col = raw.col(c);
+            let cols = st.read_columns(i, &all).unwrap();
+            for (c, col) in cols.iter().enumerate() {
                 assert_eq!(col.codes().len(), st.spans()[i].len());
                 for (local, global) in st.spans()[i].clone().enumerate() {
                     assert_eq!(col.global_at(local), table.code(global as RowId, c));
@@ -2812,17 +2444,7 @@ mod tests {
                 assert_eq!(col.local_of_global(absent), None);
             }
         }
-        let loads = st.loads();
-        assert!(loads >= st.n_shards() as u64);
-        // Upgrading a still-cached raw entry decodes in memory: no new load.
-        let last = st.n_shards() - 1;
-        let seg = st.try_segment(last).unwrap();
-        assert_eq!(st.loads(), loads, "raw upgrade must not re-read the file");
-        assert_eq!(seg.col(0), &table.column(0)[st.spans()[last].clone()]);
-        match st.cached_data(last) {
-            Some(SegmentData::Decoded(_)) => {}
-            other => panic!("entry must be upgraded in place, got {other:?}"),
-        }
+        assert_eq!(st.loads(), st.n_shards() as u64);
     }
 
     #[test]
@@ -2862,7 +2484,6 @@ mod tests {
             Err(TableError::Corrupt(_)) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        assert!(st.segment_data(1).is_err());
         // The pread path hits the same wall one column at a time.
         let last_col = table.n_columns() - 1;
         assert!(matches!(

@@ -8,16 +8,10 @@
 //! case on both construction paths; this file owns the *resource* contracts
 //! (what is in memory, when) that parity alone cannot see.
 
-use smart_drilldown::core::{
-    find_best_marginal_rule, find_best_marginal_rule_sharded, SearchOptions, SearchScratch,
-    SizeWeight,
-};
 use smart_drilldown::datagen::{census, retail};
 use smart_drilldown::server::{Engine, EngineConfig, OpenOptions, Request};
 use smart_drilldown::table::csv::{read_csv_with_measures, stream_csv_file, write_csv};
-use smart_drilldown::table::{
-    Residency, ShardConfig, ShardedTable, ShardedView, Table, TableStore,
-};
+use smart_drilldown::table::{Residency, ShardConfig, ShardedTable, Table, TableStore};
 use std::sync::{Arc, Barrier};
 
 /// Writes `table` as a CSV fixture under the temp dir, named uniquely per
@@ -143,40 +137,28 @@ fn concurrent_scans_stay_within_resident_plus_pinned() {
 // Sweep residency
 // ---------------------------------------------------------------------------
 
-/// `Residency::Sweep` changes spill traffic only: the marginal search over
-/// a sweep-evicting table is bit-identical to the monolithic kernel, while
-/// repeated sequential scans pay strictly fewer loads than LRU (whose
-/// cyclic-sweep behavior — evict exactly what is needed next — is the
-/// policy's documented worst case).
+/// `Residency::Sweep` changes spill traffic only: every segment a
+/// sweep-evicting table serves is bit-identical to the monolithic columns,
+/// while repeated sequential sweeps pay strictly fewer loads than LRU
+/// (whose cyclic-sweep behavior — evict exactly what is needed next — is
+/// the policy's documented worst case).
 #[test]
 fn sweep_residency_is_bit_identical_with_fewer_loads() {
     let table = retail(42);
-    let cov = vec![0.0f64; table.n_rows()];
-    let mut opts = SearchOptions::new(3.0);
-    opts.parallel = false;
-    let mono = find_best_marginal_rule(&table.view(), &SizeWeight, &cov, &opts)
-        .expect("retail yields a rule");
-
     let loads_for = |residency: Residency| {
         let cfg = spilling(8, 3).with_residency(residency);
         let st = Arc::new(ShardedTable::from_table(&table, &cfg).expect("shard build"));
-        let view = ShardedView::all(st.clone());
         for _pass in 0..3 {
-            let mut scratch = SearchScratch::new();
-            let got =
-                find_best_marginal_rule_sharded(&view, &SizeWeight, &cov, &opts, &mut scratch)
-                    .expect("sharded search yields a rule");
-            assert_eq!(got.rule, mono.rule, "{residency:?}: winner differs");
-            assert_eq!(
-                got.marginal_value.to_bits(),
-                mono.marginal_value.to_bits(),
-                "{residency:?}: marginal bits differ"
-            );
-            assert_eq!(
-                got.count.to_bits(),
-                mono.count.to_bits(),
-                "{residency:?}: count bits"
-            );
+            for (i, span) in st.spans().iter().enumerate() {
+                let seg = st.try_segment(i).expect("spill readable");
+                for c in 0..table.n_columns() {
+                    assert_eq!(
+                        seg.col(c),
+                        &table.column(c)[span.clone()],
+                        "{residency:?}: shard {i} column {c} differs"
+                    );
+                }
+            }
         }
         st.loads()
     };

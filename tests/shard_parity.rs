@@ -1,15 +1,16 @@
 //! Cross-shard parity suite: the full drill-down pipeline over a
 //! [`ShardedTable`] must be **bit-identical** to the monolithic [`Table`]
-//! path — marginal search, BRS, drill-downs, sample stores, explorer
-//! sessions, and server transcripts — across shard counts 1..=8 and
-//! resident-shard budgets that force segments to spill to disk and be
-//! evicted/reloaded mid-pipeline.
+//! path — the coverage and count scans, sample stores, explorer sessions,
+//! and server transcripts — across shard counts 1..=8 and resident-shard
+//! budgets that force segments to spill to disk and be evicted/reloaded
+//! mid-pipeline. (BRS itself always runs on an in-memory sample, so the
+//! sessions and transcripts cover it on every layout.)
 //!
 //! The determinism contract under test (see `sdd_table::shard` and
 //! `sdd_core::shard`): the shard layout partitions rows in order, sharded
-//! scans accumulate shard-after-shard in exactly the monolithic operation
-//! order, and spill round-trips reproduce segments bit-for-bit — so *where
-//! bytes live* (RAM vs disk, one shard vs eight) can never change a result.
+//! scans visit shards in exactly the monolithic row order, and spill
+//! round-trips reproduce segments bit-for-bit — so *where bytes live* (RAM
+//! vs disk, one shard vs eight) can never change a result.
 //!
 //! `SDD_SHARD_RESIDENT` (CI knob) caps the spilling budget so the suite
 //! exercises maximal eviction churn: `SDD_SHARD_RESIDENT=1` keeps at most
@@ -17,12 +18,8 @@
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use smart_drilldown::core::{
-    count_rules, count_rules_sharded, covered_positions, covered_positions_sharded, covered_rows,
-    covered_rows_sharded, drill_down_sharded, drill_down_with, filter_to_rule,
-    filter_to_rule_sharded, find_best_marginal_rule, find_best_marginal_rule_sharded, rule_count,
-    rule_count_sharded, score_list, score_list_sharded, sort_by_weight_desc,
-    sort_by_weight_desc_sharded, star_drill_down_sharded, star_drill_down_with, BitsWeight, Brs,
-    ListScore, Rule, SearchOptions, SearchScratch, SizeWeight, WeightFn,
+    count_rules, covered_rows, try_count_rules_sharded, try_covered_rows_sharded,
+    try_covered_rows_sharded_range, Rule, SizeWeight,
 };
 use smart_drilldown::datagen::retail;
 use smart_drilldown::explorer::{Explorer, ExplorerConfig, PrefetchMode};
@@ -30,16 +27,13 @@ use smart_drilldown::sampling::{
     AllocationStrategy, SampleHandler, SampleHandlerConfig, StoredSampleInfo,
 };
 use smart_drilldown::server::{Engine, EngineConfig, OpenOptions, Request};
-use smart_drilldown::table::{
-    Schema, ShardBuilder, ShardConfig, ShardedTable, ShardedView, Table, TableStore, TableView,
-};
+use smart_drilldown::table::{Schema, ShardBuilder, ShardConfig, ShardedTable, Table, TableStore};
 use std::sync::Arc;
 
-/// Serializes every test in this binary: `sharded_search_is_thread_invariant`
-/// writes the process-global `SDD_THREADS` while every other test reads the
-/// environment (`worker_threads`, `SDD_SHARD_RESIDENT`) — and concurrent
-/// `setenv`/`getenv` is undefined behavior on glibc, not merely a race. All
-/// tests take this lock; other test *binaries* are separate processes.
+/// Serializes every test in this binary. Each test sweeps every shard
+/// layout and spilling budget, so running them one at a time caps the
+/// suite's live spill files and decoded segments at one test's worth.
+/// Other test *binaries* are separate processes.
 fn env_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
     LOCK.get_or_init(|| std::sync::Mutex::new(()))
@@ -135,153 +129,6 @@ fn random_table(rng: &mut StdRng) -> Table {
         })
         .collect();
     Table::from_rows(Schema::new(names).unwrap(), &rows).unwrap()
-}
-
-// ---------------------------------------------------------------------------
-// Marginal search + BRS + drill-downs
-// ---------------------------------------------------------------------------
-
-#[test]
-fn marginal_search_is_bit_identical_across_shard_layouts() {
-    let _env = env_lock();
-    let mut rng = StdRng::seed_from_u64(0x5AAD_0001);
-    for trial in 0..12 {
-        let table = random_table(&mut rng);
-        let weight: &dyn WeightFn = if trial % 2 == 0 {
-            &SizeWeight
-        } else {
-            &BitsWeight
-        };
-        let mw = rng.gen_range(1.5..6.0);
-
-        // Optionally a weighted subset (a sample-shaped view).
-        let use_subset = trial % 3 == 0;
-        let (rows, weights): (Vec<u32>, Option<Vec<f64>>) = if use_subset {
-            let rows: Vec<u32> = (0..table.n_rows() as u32)
-                .filter(|_| rng.gen_range(0..4) != 0)
-                .collect();
-            let ws: Vec<f64> = rows.iter().map(|_| rng.gen_range(0.5..3.0)).collect();
-            (rows, Some(ws))
-        } else {
-            ((0..table.n_rows() as u32).collect(), None)
-        };
-        if rows.is_empty() {
-            continue;
-        }
-        let cov: Vec<f64> = (0..rows.len()).map(|_| rng.gen_range(0.0..2.5)).collect();
-
-        let mono_view: TableView<'_> = match &weights {
-            Some(w) => TableView::with_rows_and_weights(&table, rows.clone(), w.clone()),
-            None if use_subset => TableView::with_rows(&table, rows.clone()),
-            None => table.view(),
-        };
-        let mut opts = SearchOptions::new(mw);
-        opts.parallel = false;
-        let mono = find_best_marginal_rule(&mono_view, weight, &cov, &opts);
-
-        for shards in SHARD_COUNTS {
-            for cfg in shard_configs(shards) {
-                for (st, how) in builds(&table, &cfg) {
-                    let view = match &weights {
-                        Some(w) => {
-                            ShardedView::with_rows_and_weights(st.clone(), rows.clone(), w.clone())
-                        }
-                        None if use_subset => ShardedView::with_rows(st.clone(), rows.clone()),
-                        None => ShardedView::all(st.clone()),
-                    };
-                    let mut scratch = SearchScratch::new();
-                    let got =
-                        find_best_marginal_rule_sharded(&view, weight, &cov, &opts, &mut scratch);
-                    let label = format!("trial {trial}, {} ({how})", cfg_label(&cfg));
-                    match (&mono, &got) {
-                        (None, None) => {}
-                        (Some(a), Some(b)) => {
-                            assert_eq!(a.rule, b.rule, "{label}: winner differs");
-                            assert_eq!(
-                                a.marginal_value.to_bits(),
-                                b.marginal_value.to_bits(),
-                                "{label}: marginal bits differ"
-                            );
-                            assert_eq!(a.count.to_bits(), b.count.to_bits(), "{label}: count bits");
-                            assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "{label}: weight");
-                            assert_eq!(a.stats, b.stats, "{label}: work counters");
-                        }
-                        (a, b) => panic!("{label}: disagreement {a:?} vs {b:?}"),
-                    }
-                    if cfg.resident > 0 && shards > cfg.resident {
-                        assert!(st.loads() > 0, "{label}: spill path never exercised");
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn brs_and_drilldowns_are_bit_identical_across_shard_layouts() {
-    let _env = env_lock();
-    let mut rng = StdRng::seed_from_u64(0x5AAD_0002);
-    for trial in 0..8 {
-        let table = random_table(&mut rng);
-        let k = rng.gen_range(1..4);
-        let mw = rng.gen_range(1.5..4.0);
-        let brs = Brs::new(&SizeWeight)
-            .with_max_weight(mw)
-            .with_parallel(false);
-
-        let mono_run = brs.run(&table.view(), k);
-        // A drill-down base from a random row's first column.
-        let base_row = rng.gen_range(0..table.n_rows()) as u32;
-        let base = Rule::trivial(table.n_columns()).with_value(0, table.code(base_row, 0));
-        let mono_drill = drill_down_with(&brs, &table.view(), &base, k);
-        let star_col = table.n_columns() - 1;
-        let mono_star = star_drill_down_with(&brs, &table.view(), &base, star_col, k);
-
-        for shards in [1, 2, 3, 5, 8] {
-            for cfg in shard_configs(shards) {
-                for (st, how) in builds(&table, &cfg) {
-                    let view = ShardedView::all(st.clone());
-                    let label = format!("trial {trial}, {} ({how})", cfg_label(&cfg));
-
-                    let got = brs.run_sharded(&view, k);
-                    assert_eq!(
-                        got.rules_only(),
-                        mono_run.rules_only(),
-                        "{label}: BRS rules"
-                    );
-                    assert_eq!(
-                        got.total_score.to_bits(),
-                        mono_run.total_score.to_bits(),
-                        "{label}: score bits"
-                    );
-                    for (a, b) in got.rules.iter().zip(&mono_run.rules) {
-                        assert_eq!(a.count.to_bits(), b.count.to_bits(), "{label}: counts");
-                        assert_eq!(a.mcount.to_bits(), b.mcount.to_bits(), "{label}: mcounts");
-                        assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "{label}: weights");
-                    }
-
-                    let got_drill = drill_down_sharded(&brs, &view, &base, k);
-                    assert_eq!(
-                        got_drill.rules_only(),
-                        mono_drill.rules_only(),
-                        "{label}: drill-down rules"
-                    );
-                    assert_eq!(
-                        got_drill.total_score.to_bits(),
-                        mono_drill.total_score.to_bits(),
-                        "{label}: drill-down score"
-                    );
-
-                    let got_star = star_drill_down_sharded(&brs, &view, &base, star_col, k);
-                    assert_eq!(
-                        got_star.rules_only(),
-                        mono_star.rules_only(),
-                        "{label}: star rules"
-                    );
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -513,50 +360,6 @@ fn server_transcripts_are_byte_identical_on_sharded_spilling_tables() {
 }
 
 // ---------------------------------------------------------------------------
-// Thread invariance of the sharded kernel
-// ---------------------------------------------------------------------------
-
-#[test]
-fn sharded_search_is_thread_invariant() {
-    // The sharded kernel's parallel modes (u64 count fan-out, threaded
-    // accumulators) must not depend on the worker count. `SDD_THREADS` is
-    // process-global and read concurrently by sibling tests, so every test
-    // in this binary serializes on `env_lock`.
-    let _env = env_lock();
-    let table = retail(42);
-    let cov: Vec<f64> = (0..table.n_rows()).map(|i| (i % 5) as f64 * 0.3).collect();
-    let mut opts = SearchOptions::new(3.0);
-    opts.parallel = true;
-    opts.parallel_min_rows = 1;
-
-    let run_with = |threads: &str, st: Arc<ShardedTable>| {
-        std::env::set_var("SDD_THREADS", threads);
-        let view = ShardedView::all(st);
-        let mut scratch = SearchScratch::new();
-        let r = find_best_marginal_rule_sharded(&view, &SizeWeight, &cov, &opts, &mut scratch)
-            .expect("retail yields a rule");
-        std::env::remove_var("SDD_THREADS");
-        (r.rule, r.marginal_value.to_bits(), r.count.to_bits())
-    };
-
-    for cfg in [
-        ShardConfig::in_memory(6),
-        ShardConfig::spilling(6, 2, std::env::temp_dir()),
-    ] {
-        for (st, how) in builds(&table, &cfg) {
-            let one = run_with("1", st.clone());
-            let many = run_with("7", st);
-            assert_eq!(
-                one,
-                many,
-                "{} ({how}): thread count changed the result",
-                cfg_label(&cfg)
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Streaming build ⇔ from_table byte equality
 // ---------------------------------------------------------------------------
 
@@ -616,7 +419,7 @@ fn stream_built_tables_are_byte_identical_to_from_table() {
 }
 
 // ---------------------------------------------------------------------------
-// Coverage + scoring scan parity
+// Coverage + count scan parity
 // ---------------------------------------------------------------------------
 
 /// `f64`s compared as bit patterns: parity here means *bitwise* equality,
@@ -625,28 +428,11 @@ fn bits(vals: &[f64]) -> Vec<u64> {
     vals.iter().map(|v| v.to_bits()).collect()
 }
 
-fn assert_score_bits_eq(got: &ListScore, want: &ListScore, label: &str) {
-    assert_eq!(got.total.to_bits(), want.total.to_bits(), "{label}: total");
-    assert_eq!(
-        got.uncovered.to_bits(),
-        want.uncovered.to_bits(),
-        "{label}: uncovered"
-    );
-    assert_eq!(got.rules.len(), want.rules.len(), "{label}: rule count");
-    for (g, w) in got.rules.iter().zip(&want.rules) {
-        assert_eq!(g.rule, w.rule, "{label}: rule order");
-        assert_eq!(g.weight.to_bits(), w.weight.to_bits(), "{label}: weight");
-        assert_eq!(g.count.to_bits(), w.count.to_bits(), "{label}: count");
-        assert_eq!(g.mcount.to_bits(), w.mcount.to_bits(), "{label}: mcount");
-    }
-}
-
-/// Every public coverage/scoring scan — `covered_rows_sharded`,
-/// `covered_positions_sharded`, `filter_to_rule_sharded`,
-/// `count_rules_sharded`, `rule_count_sharded`, `score_list_sharded`, and
-/// `sort_by_weight_desc_sharded` — is bit-identical to its monolithic twin
-/// for every shard layout and both construction paths (lint rule X001
-/// requires each `*_sharded` entry point exercised here by name).
+/// Every public sharded scan — `try_covered_rows_sharded`, its ranged form
+/// `try_covered_rows_sharded_range`, and `try_count_rules_sharded` — is
+/// bit-identical to its monolithic twin for every shard layout and both
+/// construction paths (lint rule X001 requires each `*_sharded` entry
+/// point exercised here by name).
 #[test]
 fn coverage_and_scoring_scans_are_bit_identical_across_shard_layouts() {
     let _env = env_lock();
@@ -655,7 +441,7 @@ fn coverage_and_scoring_scans_are_bit_identical_across_shard_layouts() {
         let table = random_table(&mut rng);
         // Real rules built off the table's own dictionaries: one size-1,
         // one size-2 (often sparse or empty), and a second size-1 for
-        // scoring overlap.
+        // count overlap.
         let val = |c: usize, k: usize| {
             let card = table.cardinality(c);
             let (_, v) = table.dictionary(c).iter().nth(k % card).expect("in range");
@@ -670,58 +456,36 @@ fn coverage_and_scoring_scans_are_bit_identical_across_shard_layouts() {
         ];
         let base = &rules[0];
 
-        let mono_view = table.view();
         let mono_rows = covered_rows(&table, base);
-        let mono_pos = covered_positions(&mono_view, base);
         let mono_counts = count_rules(&table, &rules);
-        let mono_one = rule_count(&mono_view, &rules[2]);
-        let mono_sorted = sort_by_weight_desc(&mono_view, &BitsWeight, &rules);
-        let mono_score = score_list(&mono_view, &BitsWeight, &mono_sorted);
-        let mono_filtered = filter_to_rule(&mono_view, base);
-        let mono_filtered_rows: Vec<u32> = mono_filtered.iter().map(|wr| wr.row).collect();
+        // An interior window straddling shard boundaries for most layouts.
+        let n = table.n_rows();
+        let window = n / 3..n - n / 4;
+        let mono_window: Vec<u32> = mono_rows
+            .iter()
+            .copied()
+            .filter(|&r| window.contains(&(r as usize)))
+            .collect();
 
         for shards in SHARD_COUNTS {
             for cfg in shard_configs(shards) {
                 for (st, how) in builds(&table, &cfg) {
                     let label = format!("{} [{how}]", cfg_label(&cfg));
-                    let view = ShardedView::all(st.clone());
-
                     assert_eq!(
-                        covered_rows_sharded(&st, base),
+                        try_covered_rows_sharded(&st, base).expect("spill readable"),
                         mono_rows,
                         "{label}: covered_rows"
                     );
                     assert_eq!(
-                        covered_positions_sharded(&view, base),
-                        mono_pos,
-                        "{label}: covered_positions"
+                        try_covered_rows_sharded_range(&st, base, window.clone())
+                            .expect("spill readable"),
+                        mono_window,
+                        "{label}: covered_rows over {window:?}"
                     );
                     assert_eq!(
-                        bits(&count_rules_sharded(&st, &rules)),
+                        bits(&try_count_rules_sharded(&st, &rules).expect("spill readable")),
                         bits(&mono_counts),
                         "{label}: count_rules"
-                    );
-                    assert_eq!(
-                        rule_count_sharded(&view, &rules[2]).to_bits(),
-                        mono_one.to_bits(),
-                        "{label}: rule_count"
-                    );
-                    assert_eq!(
-                        sort_by_weight_desc_sharded(&st, &BitsWeight, &rules),
-                        mono_sorted,
-                        "{label}: sort_by_weight_desc"
-                    );
-                    assert_score_bits_eq(
-                        &score_list_sharded(&view, &BitsWeight, &mono_sorted),
-                        &mono_score,
-                        &label,
-                    );
-                    let filtered = filter_to_rule_sharded(&view, base);
-                    let filtered_rows: Vec<u32> =
-                        (0..filtered.len()).map(|p| filtered.row_at(p)).collect();
-                    assert_eq!(
-                        filtered_rows, mono_filtered_rows,
-                        "{label}: filter_to_rule row set"
                     );
                 }
             }

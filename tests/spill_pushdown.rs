@@ -12,10 +12,9 @@
 
 use proptest::prelude::*;
 use smart_drilldown::core::{
-    accel, covered_rows, find_best_marginal_rule, rule_count, try_covered_rows_sharded,
-    try_find_best_marginal_rule_sharded, Rule, SearchOptions, SearchScratch, SizeWeight,
+    accel, count_rules, covered_rows, try_count_rules_sharded, try_covered_rows_sharded, Rule,
 };
-use smart_drilldown::table::{Schema, ShardConfig, ShardedTable, ShardedView, Table};
+use smart_drilldown::table::{Schema, ShardConfig, ShardedTable, Table};
 use std::sync::Arc;
 
 /// A two-column table whose first column runs through `card` distinct
@@ -28,6 +27,11 @@ fn wide_table(card: usize, rows: usize) -> Table {
         .map(|i| [format!("v{}", i % card), format!("g{}", i % 7)])
         .collect();
     Table::from_rows(Schema::new(["V", "G"]).unwrap(), &data).unwrap()
+}
+
+/// `f64`s compared as bit patterns: parity means bitwise equality.
+fn bits(vals: &[f64]) -> Vec<u64> {
+    vals.iter().map(|v| v.to_bits()).collect()
 }
 
 fn spilled(table: &Table, shards: usize) -> Arc<ShardedTable> {
@@ -48,6 +52,14 @@ fn assert_width_boundary_parity(card: usize) {
     let rows = card * 3 + 17;
     let table = wide_table(card, rows);
     let st = spilled(&table, 2);
+    // The first shard holds every value, so its packed width is the one
+    // this seam cardinality selects.
+    let width = match card {
+        0..=256 => 1,
+        257..=65_536 => 2,
+        _ => 4,
+    };
+    assert_eq!(st.read_columns(0, &[0]).unwrap()[0].codes().width(), width);
 
     // Probe codes on both sides of the seam plus a joint-column rule.
     let probes = [0usize, 1, card / 2, card - 2, card - 1];
@@ -66,24 +78,18 @@ fn assert_width_boundary_parity(card: usize) {
         "card {card}, joint rule"
     );
 
-    // A full search crosses the seam in pass-1 histograms and pass-j cells.
-    let view = table.view();
-    let cov = vec![0.0f64; view.len()];
-    let mut opts = SearchOptions::new(3.0);
-    opts.parallel = false;
-    let mono = find_best_marginal_rule(&view, &SizeWeight, &cov, &opts).unwrap();
-    let sview = ShardedView::all(st);
-    let mut scratch = SearchScratch::new();
-    let got = try_find_best_marginal_rule_sharded(&sview, &SizeWeight, &cov, &opts, &mut scratch)
-        .unwrap()
-        .unwrap();
-    assert_eq!(got.rule, mono.rule, "card {card}");
+    // Counts cross the seam through the width-dispatched count kernels
+    // (single-column rules) and the survivor filter (the joint rule).
+    let mut rules: Vec<Rule> = probes
+        .iter()
+        .map(|p| Rule::from_pairs(&table, &[("V", format!("v{p}").as_str())]).unwrap())
+        .collect();
+    rules.push(joint);
     assert_eq!(
-        got.marginal_value.to_bits(),
-        mono.marginal_value.to_bits(),
-        "card {card}"
+        bits(&try_count_rules_sharded(&st, &rules).unwrap()),
+        bits(&count_rules(&table, &rules)),
+        "card {card}, counts"
     );
-    assert_eq!(got.count.to_bits(), mono.count.to_bits(), "card {card}");
 }
 
 #[test]
@@ -189,8 +195,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random small tables, random shard counts, random rules: pushdown
-    /// coverage, counting, and search all match the monolithic kernel
-    /// bitwise on spilling storage.
+    /// coverage and counting match the monolithic scans bitwise on
+    /// spilling storage.
     #[test]
     fn pushdown_matches_monolithic_on_random_tables(
         rows in proptest::collection::vec((0u8..6, 0u8..4, 0u8..3), 1..120),
@@ -214,27 +220,10 @@ proptest! {
             try_covered_rows_sharded(&st, &rule).unwrap(),
             covered_rows(&table, &rule)
         );
+        let rules = [Rule::trivial(3), rule.clone(), rule.with_star(1)];
         prop_assert_eq!(
-            rule_count(&table.view(), &rule),
-            smart_drilldown::core::try_rule_count_sharded(
-                &ShardedView::all(st.clone()), &rule).unwrap()
+            bits(&try_count_rules_sharded(&st, &rules).unwrap()),
+            bits(&count_rules(&table, &rules))
         );
-
-        let view = table.view();
-        let cov = vec![0.0f64; view.len()];
-        let mut opts = SearchOptions::new(3.0);
-        opts.parallel = false;
-        let mono = find_best_marginal_rule(&view, &SizeWeight, &cov, &opts);
-        let mut scratch = SearchScratch::new();
-        let got = try_find_best_marginal_rule_sharded(
-            &ShardedView::all(st), &SizeWeight, &cov, &opts, &mut scratch).unwrap();
-        match (mono, got) {
-            (Some(m), Some(g)) => {
-                prop_assert_eq!(g.rule, m.rule);
-                prop_assert_eq!(g.marginal_value.to_bits(), m.marginal_value.to_bits());
-            }
-            (None, None) => {}
-            (m, g) => prop_assert!(false, "mono {m:?} vs sharded {g:?}"),
-        }
     }
 }
